@@ -28,6 +28,7 @@ from .core import (
     Grid1D,
     MetaState,
     UnitSystem,
+    ValidationError,
     gaussian_product_metastate,
     gaussian_wavepacket,
     product_metastate,
@@ -133,6 +134,15 @@ def _invariant_summary(observed) -> dict[str, float]:
         "max_trace_error": max(o["trace_error"] for o in observed),
         "min_eigenvalue": min(o["min_eigenvalue"] for o in observed),
     }
+
+
+def _merge_worst(worst: dict[str, float], inv: Mapping[str, float]) -> None:
+    """Fold one run's invariant summary into the worst values seen so far."""
+    for key, val in inv.items():
+        if key == "min_eigenvalue":
+            worst[key] = min(worst.get(key, val), val)
+        else:
+            worst[key] = max(worst.get(key, val), val)
 
 
 def _timeseries_rows(times, observed):
@@ -265,12 +275,7 @@ def _run_two_packet(cfg: ScenarioConfig, emit: _Emitter) -> dict:
             "final_vn_entropy": observed[-1]["vn_entropy"],
             "final_coherence_offdiag": observed[-1]["coherence_offdiag"],
         }
-        inv = _invariant_summary(observed)
-        for key, val in inv.items():
-            if key == "min_eigenvalue":
-                worst[key] = min(worst.get(key, val), val)
-            else:
-                worst[key] = max(worst.get(key, val), val)
+        _merge_worst(worst, _invariant_summary(observed))
         if g == g_demo:
             dens = np.asarray(observed[-1]["_density"])
             emit.emit("rho_diag_final.npy", _npy_bytes(dens))
@@ -305,31 +310,32 @@ def _run_perturbative(cfg: ScenarioConfig, emit: _Emitter) -> dict:
     halvings = int(cfg.params["halvings"])
     couplings = [g0 / 2**j for j in range(halvings + 1)]
 
-    residuals = []
+    full_densities = []
     worst: dict[str, float] = {}
-    first_order_mass = None
     for g in couplings:
-        units_g = UnitSystem.dimensionless(g)
-        pair = PairPotential(species=cfg.species, units=units_g)
+        pair = PairPotential(species=cfg.species, units=UnitSystem.dimensionless(g))
         record = evolve(state, ExternalPotential.null(), pair, cfg.evolution, observer=_invariant_observer())
         assert record.reduced_observables is not None
-        full_density = (
-            np.sum(np.abs(record.final_state.amplitudes) ** 2, axis=1) * grid.dx
-        )
-        psi0, psi1 = dyson_first_order(state, ExternalPotential.null(), pair, cfg.evolution)
-        approx_density = first_order_position_density(psi0, psi1)
+        full_densities.append(np.sum(np.abs(record.final_state.amplitudes) ** 2, axis=1) * grid.dx)
+        _merge_worst(worst, _invariant_summary(record.reduced_observables))
+    del record
+
+    # One Dyson pass at g0, after the full runs so its channels never share
+    # memory with them.  psi0 does not depend on g and psi1 is linear in it,
+    # so psi1(g0 / 2^j) = 2^-j psi1(g0), exact in floating point.  The
+    # pass's perturbative-window guard runs at g0, the coupling that binds.
+    pair0 = PairPotential(species=cfg.species, units=cfg.units)
+    psi0, psi1 = dyson_first_order(state, ExternalPotential.null(), pair0, cfg.evolution)
+    residuals = []
+    first_order_mass = None
+    for j, full_density in enumerate(full_densities):
+        psi1_g = MetaState(grid=grid, amplitudes=0.5**j * psi1.amplitudes, time=psi1.time)
+        approx_density = first_order_position_density(psi0, psi1_g)
         residuals.append(float(np.max(np.abs(full_density - approx_density))))
         if first_order_mass is None:
             first_order_mass = float(np.sum(approx_density) * grid.dx)
-        inv = _invariant_summary(record.reduced_observables)
-        for key, val in inv.items():
-            if key == "min_eigenvalue":
-                worst[key] = min(worst.get(key, val), val)
-            else:
-                worst[key] = max(worst.get(key, val), val)
 
     ratios = [a / b for a, b in zip(residuals, residuals[1:])]
-    pair0 = PairPotential(species=cfg.species, units=cfg.units)
     t_total = cfg.evolution.dt * cfg.evolution.steps
     emit.emit("residuals.csv", csv_bytes(("g", "max_residual"), zip(couplings, residuals)))
     return {
@@ -412,10 +418,12 @@ def run(cfg: ScenarioConfig, out_dir: str | Path) -> RunManifest:
 
     Numerical aborts still produce a manifest whose diagnostic block
     explains the failure, then re-raise for the caller's exit handling.
-    Use a fresh directory per run: the manifest covers the files this
-    run wrote.
+    The output directory must be missing or empty, so that the manifest
+    covers every file in it; a non-empty one is rejected before any write.
     """
     out = Path(out_dir)
+    if out.is_dir() and any(out.iterdir()):
+        raise ValidationError(f"output directory {str(out)!r} is not empty; use a fresh one")
     out.mkdir(parents=True, exist_ok=True)
     emitter = _Emitter(out)
     started = _utcnow()

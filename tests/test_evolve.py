@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 
 from gravtwin import (
     CFLViolation,
@@ -233,6 +234,88 @@ def test_dyson_residual_quarter_scaling():
         )
     ratio = residuals[0.5] / residuals[0.25]
     assert 3.5 < ratio < 4.5
+
+
+def dyson_midpoint_reference(state0, pot_ext, pair, cfg):
+    """Dyson channels with the insertion at each step's kinetic midpoint.
+
+    The first-order engine's former loop, four transform pairs per step;
+    it differs from the derivative of the Strang step at order g dt^2.
+    """
+    grid = state0.grid
+    hbar = pair.units.hbar
+    v_ext = pot_ext.sample(grid, pair.species, pair.units)
+    v_pair = pair.evaluate_on_grid(grid)
+    k2 = grid.momentum_grid**2
+    k_diag = k2[:, None] + k2[None, :]
+    d0 = np.exp(-0.5j * cfg.dt / hbar * (v_ext[:, None] + v_ext[None, :]))
+    half_k = np.exp(-0.25j * hbar * cfg.dt / pair.species.mass * k_diag)
+
+    def half_kin(z):
+        return sfft.ifft2(sfft.fft2(z) * half_k)
+
+    phi = np.array(state0.amplitudes)
+    chi = np.zeros_like(phi)
+    for _ in range(cfg.steps):
+        phi_mid = half_kin(d0 * phi)
+        chi_mid = half_kin(d0 * chi)
+        chi_mid += (-1j * cfg.dt / hbar) * v_pair * phi_mid
+        phi = d0 * half_kin(phi_mid)
+        chi = d0 * half_kin(chi_mid)
+    return phi, chi
+
+
+EXTERNALS = {
+    "none": (ExternalPotential.null(), 0.0, 0.0),
+    "harmonic": (ExternalPotential.harmonic(omega=1.0), 0.3, 0.5),
+    "uniform-field": (ExternalPotential.uniform_field(slope=0.5), -0.5, 1.0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EXTERNALS))
+def test_dyson_is_derivative_of_strang_step(kind):
+    """psi1 against a Richardson forward difference in g of the 2D engine."""
+    pot, center, momentum = EXTERNALS[kind]
+    g = 0.5
+    units, grid, pair = setup(g=g)
+    st = gaussian_product_metastate(grid, center, 0.7, momentum)
+    cfg = EvolutionConfig(dt=1e-3, steps=100)
+    _, psi1 = dyson_first_order(st, pot, pair, cfg)
+
+    def full(gg):
+        return evolve(st, pot, setup(g=gg)[2], cfg).final_state.amplitudes
+
+    eps = 1e-3 * g
+    u0, u1, u2 = full(0.0), full(eps), full(2.0 * eps)
+    deriv = (2.0 * (u1 - u0) / eps - (u2 - u0) / (2.0 * eps)) * g
+    rel = np.max(np.abs(psi1.amplitudes - deriv)) / np.max(np.abs(deriv))
+    assert rel < 2e-8
+
+
+@pytest.mark.parametrize("kind", ["none", "harmonic"])
+def test_dyson_agrees_with_midpoint_reference(kind):
+    pot, center, momentum = EXTERNALS[kind]
+    units, grid, pair = setup(g=0.5)
+    st = gaussian_product_metastate(grid, center, 0.7, momentum)
+    cfg = EvolutionConfig(dt=5e-4, steps=200)
+    psi0, psi1 = dyson_first_order(st, pot, pair, cfg)
+    ref0, ref1 = dyson_midpoint_reference(st, pot, pair, cfg)
+    assert np.max(np.abs(psi0.amplitudes - ref0)) < 1e-12
+    assert np.max(np.abs(psi1.amplitudes - ref1)) / np.max(np.abs(ref1)) < 1e-6
+
+
+def test_dyson_power_of_two_rescale_exact():
+    """Halving G halves psi1 bit for bit and leaves psi0 untouched."""
+    st = None
+    channels = {}
+    for g in (0.5, 0.25):
+        units, grid, pair = setup(g=g)
+        if st is None:
+            st = gaussian_product_metastate(grid, 0.3, 0.7, 0.5)
+        channels[g] = dyson_first_order(st, ExternalPotential.harmonic(omega=1.0), pair,
+                                        EvolutionConfig(dt=1e-3, steps=60))
+    assert np.array_equal(channels[0.25][0].amplitudes, channels[0.5][0].amplitudes)
+    assert np.array_equal(channels[0.25][1].amplitudes, 0.5 * channels[0.5][1].amplitudes)
 
 
 def test_dyson_density_mass_conserved():

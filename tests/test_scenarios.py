@@ -199,6 +199,23 @@ def test_cli_run_ok(tmp_path, capsys):
     assert header == "r,V_G"
 
 
+def test_cli_run_rejects_non_empty_out_dir(tmp_path, capsys):
+    cfg_file = tmp_path / "bench.cfg"
+    cfg_file.write_text("scenario = potential-scan\npotential.samples = 64\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "stale.csv").write_text("left over\n")
+    rc = cli.main(["run", "--config", str(cfg_file), "--out", str(out)])
+    assert rc == 1
+    assert "not empty" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["stale.csv"]
+    # an existing empty directory is accepted
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert cli.main(["run", "--config", str(cfg_file), "--out", str(empty)]) == 0
+    assert (empty / "manifest.json").exists()
+
+
 def test_cli_run_bad_config(tmp_path, capsys):
     cfg_file = tmp_path / "bad.cfg"
     cfg_file.write_text("scenario = free-check\ngrid.n = 100\n")
