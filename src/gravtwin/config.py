@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .core import (
+    HBAR_SI,
     Grid1D,
     ParticleSpecies,
     UnitSystem,
@@ -20,6 +21,7 @@ from .core import (
     make_grid,
 )
 from .evolve import EvolutionConfig
+from .interferometer import cow_neutron_preset
 
 SCENARIOS = (
     "potential-scan",
@@ -29,10 +31,15 @@ SCENARIOS = (
     "cow-sweep",
 )
 
-# Neutron bench-scale values, duplicated in interferometer.cow_neutron_preset.
-_NEUTRON = {"mass": 1.675e-27, "radius": 1.0e-15, "L": 0.10, "v": 2.2e3}
-_HBAR_SI = 1.054571817e-34
-_DELTA_STOP_DEFAULT = 4.0 * math.pi * _HBAR_SI  # two fringe periods
+_DELTA_STOP_DEFAULT = 4.0 * math.pi * HBAR_SI  # two fringe periods
+_NEUTRON = cow_neutron_preset()
+# cow.preset = neutron fixes these four keys at the preset's values.
+_NEUTRON_GEOMETRY = {
+    "cow.mass": _NEUTRON.species.mass,
+    "cow.radius": _NEUTRON.species.radius,
+    "cow.L": _NEUTRON.L,
+    "cow.v": _NEUTRON.v,
+}
 
 
 class ConfigError(ValueError):
@@ -51,9 +58,6 @@ def _evolution_keys(dt: float, steps: int, record_every: int) -> dict[str, _Key]
         "evolution.dt": _Key("float", dt),
         "evolution.steps": _Key("int", steps),
         "evolution.record_every": _Key("int", record_every),
-        "evolution.boundary": _Key("word", "periodic", ("periodic", "absorbing")),
-        "evolution.mask_width": _Key("float", 0.125),
-        "evolution.mask_strength": _Key("float", 1.0),
     }
 
 
@@ -119,18 +123,13 @@ SCHEMAS: dict[str, dict[str, _Key]] = {
         "packet.momentum": _Key("float", 0.0),
         "coupling.g": _Key("float", 1.0 / 3.0),
         "dyson.halvings": _Key("int", 1),
-        "evolution.dt": _Key("float", 5e-4),
-        "evolution.steps": _Key("int", 500),
-        "evolution.record_every": _Key("int", 100),
+        **_evolution_keys(5e-4, 500, 100),
     },
     "cow-sweep": {
         **_COMMON,
         "units": _Key("word", "SI", ("SI",)),
         "cow.preset": _Key("word", "neutron", ("neutron", "custom")),
-        "cow.mass": _Key("float", _NEUTRON["mass"]),
-        "cow.radius": _Key("float", _NEUTRON["radius"]),
-        "cow.L": _Key("float", _NEUTRON["L"]),
-        "cow.v": _Key("float", _NEUTRON["v"]),
+        **{key: _Key("float", value) for key, value in _NEUTRON_GEOMETRY.items()},
         "cow.delta_start": _Key("float", 0.0),
         "cow.delta_stop": _Key("float", _DELTA_STOP_DEFAULT),
         "cow.delta_points": _Key("int", 1000),
@@ -256,12 +255,7 @@ def _build(scenario: str, values: dict[str, object]) -> ScenarioConfig:
         units = UnitSystem.si()
         if values["cow.preset"] == "neutron":
             # The four geometry keys may not fight the preset.
-            for key, default in (
-                ("cow.mass", _NEUTRON["mass"]),
-                ("cow.radius", _NEUTRON["radius"]),
-                ("cow.L", _NEUTRON["L"]),
-                ("cow.v", _NEUTRON["v"]),
-            ):
+            for key, default in _NEUTRON_GEOMETRY.items():
                 if values[key] != default:
                     raise ConfigError(
                         f"{key}: conflicts with cow.preset = neutron; "
@@ -327,19 +321,12 @@ def _build(scenario: str, values: dict[str, object]) -> ScenarioConfig:
     except ValidationError as exc:
         raise ConfigError(f"grid: {exc}") from None
 
-    evo_kwargs = dict(
-        dt=float(values["evolution.dt"]),
-        steps=values["evolution.steps"],
-        record_every=values["evolution.record_every"],
-    )
-    if "evolution.boundary" in values:
-        evo_kwargs.update(
-            boundary=values["evolution.boundary"],
-            mask_width=float(values["evolution.mask_width"]),
-            mask_strength=float(values["evolution.mask_strength"]),
-        )
     try:
-        evolution = EvolutionConfig(**evo_kwargs)
+        evolution = EvolutionConfig(
+            dt=float(values["evolution.dt"]),
+            steps=values["evolution.steps"],
+            record_every=values["evolution.record_every"],
+        )
         evolution.check_stability(grid, species.mass, units.hbar)
     except ValidationError as exc:  # CFLViolation included
         raise ConfigError(f"evolution.dt: {exc}") from None

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 import scipy.fft as sfft
@@ -58,7 +58,6 @@ def fft_workers() -> int:
 class EvolutionConfig:
     dt: float
     steps: int
-    splitting: str = "strang"
     boundary: str = "periodic"
     mask_width: float = 0.125    # fraction of the domain per side, absorbing only
     mask_strength: float = 1.0   # 1/time, absorbing only
@@ -69,8 +68,6 @@ class EvolutionConfig:
             raise ValidationError(f"dt must be finite and > 0, got {self.dt!r}")
         if not (isinstance(self.steps, int) and self.steps >= 1):
             raise ValidationError(f"steps must be an integer >= 1, got {self.steps!r}")
-        if self.splitting != "strang":
-            raise ValidationError(f"unsupported splitting {self.splitting!r}")
         if self.boundary not in ("periodic", "absorbing"):
             raise ValidationError(f"unknown boundary {self.boundary!r}")
         if self.boundary == "absorbing":
@@ -104,7 +101,7 @@ class EvolutionRecord:
     times: NDArray[np.float64]
     norms: NDArray[np.float64]
     final_state: MetaState
-    reduced_observables: Sequence[Mapping[str, float]] | None = None
+    reduced_observables: Sequence[Any] | None = None  # one observer result per record
     snapshots: Sequence[MetaState] | None = field(default=None, repr=False)
 
 
@@ -147,7 +144,7 @@ def evolve(
     pot_ext: ExternalPotential,
     pair: PairPotential,
     cfg: EvolutionConfig,
-    observer: Callable[[MetaState], Mapping[str, float]] | None = None,
+    observer: Callable[[MetaState], Any] | None = None,
     keep_snapshots: bool = False,
 ) -> EvolutionRecord:
     """Propagate the pair state for cfg.steps steps of cfg.dt.
@@ -182,7 +179,7 @@ def evolve(
 
     times: list[float] = []
     norms: list[float] = []
-    observed: list[Mapping[str, float]] = []
+    observed: list[Any] = []
     snaps: list[MetaState] = []
 
     def record(step: int) -> MetaState:

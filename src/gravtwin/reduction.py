@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -48,6 +49,18 @@ class ReducedDensityMatrix:
     def trace(self) -> float:
         return float(np.trace(self.rho).real) * self.grid.dx
 
+    @cached_property
+    def weights(self) -> NDArray[np.float64]:
+        """Ascending eigenvalues of rho dx: the discrete probability weights.
+
+        Computed once per reduced state and shared by every quantifier.
+        A failing eigensolver raises LinAlgError on each access; nothing
+        is cached then.
+        """
+        w = np.linalg.eigvalsh(self.rho * self.grid.dx)
+        w.setflags(write=False)
+        return w
+
 
 def partial_trace(state: MetaState) -> ReducedDensityMatrix:
     """Contract the hidden coordinate: rho(x, x') = sum over x~ of Psi Psi* dx.
@@ -80,24 +93,21 @@ class DecoherenceReport:
     position_density: NDArray[np.float64] = field(repr=False)
 
 
-def _probability_weights(rho: ReducedDensityMatrix) -> NDArray[np.float64]:
-    return np.linalg.eigvalsh(rho.rho * rho.grid.dx)
-
-
 def decoherence_report(rho: ReducedDensityMatrix, d_cut: float) -> DecoherenceReport:
     """Decoherence quantifiers of one reduced state.
 
     d_cut is the separation beyond which |rho(x, x')| counts as
     long-range coherence; pass 4x the initial packet width unless there
-    is a reason not to.  If the eigensolver fails, only the von Neumann
-    entropy is abandoned (NaN); the rest of the report survives.
+    is a reason not to.  The entropy reads the spectrum cached on rho.
+    If the eigensolver fails, only the von Neumann entropy is abandoned
+    (NaN); the rest of the report survives.
     """
     if not (math.isfinite(d_cut) and d_cut > 0):
         raise ValidationError(f"d_cut must be finite and > 0, got {d_cut!r}")
     dx = rho.grid.dx
     purity = float(np.sum(np.abs(rho.rho) ** 2)) * dx * dx
     try:
-        p = _probability_weights(rho)
+        p = rho.weights
         p = p[p > _EIG_FLOOR]
         vn = float(-np.sum(p * np.log(p)))
     except np.linalg.LinAlgError:
@@ -125,12 +135,13 @@ def structural_checks(state: MetaState, rho: ReducedDensityMatrix | None = None)
         rho = partial_trace(state)
     herm = float(np.max(np.abs(rho.rho - rho.rho.conj().T)))
     try:
-        min_eig = float(_probability_weights(rho)[0])
+        min_eig = float(rho.weights[0])
     except np.linalg.LinAlgError:
         min_eig = float("nan")
+    norm = state.norm()
     return {
-        "norm": state.norm(),
-        "norm_drift": abs(state.norm() - 1.0),
+        "norm": norm,
+        "norm_drift": abs(norm - 1.0),
         "exchange_asymmetry": state.exchange_asymmetry(),
         "hermiticity": herm,
         "trace_error": abs(rho.trace() - 1.0),

@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -42,7 +42,7 @@ from .interferometer import (
     zeroth_order_probability,
 )
 from .potential import PairPotential
-from .reduction import decoherence_report, partial_trace, structural_checks
+from .reduction import DecoherenceReport, decoherence_report, partial_trace, structural_checks
 
 TIMESERIES_COLUMNS = ("t", "norm", "purity", "linear_entropy", "vn_entropy", "coherence_offdiag")
 
@@ -102,37 +102,29 @@ def _sidecar(grid: Grid1D, time: float, units: UnitSystem, name: str, arr: NDArr
     }
 
 
-def _invariant_observer() -> Callable[[MetaState], Mapping[str, float]]:
-    def observe(state: MetaState) -> Mapping[str, float]:
-        return structural_checks(state)
+@dataclass(frozen=True)
+class _Observation:
+    """One record of a full run: health checks and decoherence of one reduced state."""
 
-    return observe
+    checks: dict[str, float]
+    report: DecoherenceReport
 
 
-def _full_observer(d_cut: float) -> Callable[[MetaState], Mapping[str, float]]:
-    def observe(state: MetaState) -> Mapping[str, float]:
+def _full_observer(d_cut: float) -> Callable[[MetaState], _Observation]:
+    def observe(state: MetaState) -> _Observation:
         rho = partial_trace(state)
-        rep = decoherence_report(rho, d_cut)
-        out = dict(structural_checks(state, rho))
-        out.update(
-            purity=rep.purity,
-            linear_entropy=rep.linear_entropy,
-            vn_entropy=rep.von_neumann_entropy,
-            coherence_offdiag=rep.coherence_offdiag,
-        )
-        out["_density"] = rep.position_density  # stripped before CSV emission
-        return out
+        return _Observation(structural_checks(state, rho), decoherence_report(rho, d_cut))
 
     return observe
 
 
-def _invariant_summary(observed) -> dict[str, float]:
+def _invariant_summary(checks: Sequence[Mapping[str, float]]) -> dict[str, float]:
     return {
-        "max_norm_drift": max(o["norm_drift"] for o in observed),
-        "max_exchange_asymmetry": max(o["exchange_asymmetry"] for o in observed),
-        "max_hermiticity": max(o["hermiticity"] for o in observed),
-        "max_trace_error": max(o["trace_error"] for o in observed),
-        "min_eigenvalue": min(o["min_eigenvalue"] for o in observed),
+        "max_norm_drift": max(c["norm_drift"] for c in checks),
+        "max_exchange_asymmetry": max(c["exchange_asymmetry"] for c in checks),
+        "max_hermiticity": max(c["hermiticity"] for c in checks),
+        "max_trace_error": max(c["trace_error"] for c in checks),
+        "min_eigenvalue": min(c["min_eigenvalue"] for c in checks),
     }
 
 
@@ -145,9 +137,10 @@ def _merge_worst(worst: dict[str, float], inv: Mapping[str, float]) -> None:
             worst[key] = max(worst.get(key, val), val)
 
 
-def _timeseries_rows(times, observed):
+def _timeseries_rows(times, observed: Sequence[_Observation]):
     for t, o in zip(times, observed):
-        yield (t, o["norm"], o["purity"], o["linear_entropy"], o["vn_entropy"], o["coherence_offdiag"])
+        r = o.report
+        yield (t, o.checks["norm"], r.purity, r.linear_entropy, r.von_neumann_entropy, r.coherence_offdiag)
 
 
 def _two_packet_state(grid: Grid1D, width: float, separation: float, momentum: float) -> MetaState:
@@ -211,7 +204,7 @@ def _run_free_check(cfg: ScenarioConfig, emit: _Emitter) -> dict:
     hbar, mass = cfg.units.hbar, cfg.species.mass
     worst_var = 0.0
     for t, o in zip(record.times, observed):
-        _, var = _density_moments(grid, o["_density"])
+        _, var = _density_moments(grid, o.report.position_density)
         exact = width**2 * (1.0 + (hbar * t / (2.0 * mass * width**2)) ** 2)
         worst_var = max(worst_var, abs(var - exact) / exact)
 
@@ -219,23 +212,23 @@ def _run_free_check(cfg: ScenarioConfig, emit: _Emitter) -> dict:
     sig2 = width**2 * (1.0 + (hbar * t_end / (2.0 * mass * width**2)) ** 2)
     mu = center + momentum / mass * t_end
     exact_density = np.exp(-((grid.x - mu) ** 2) / (2.0 * sig2)) / math.sqrt(2.0 * math.pi * sig2)
-    final_density = observed[-1]["_density"]
+    final_density = observed[-1].report.position_density
     density_err = float(np.max(np.abs(final_density - exact_density)) / np.max(exact_density))
 
-    emit.emit("density_final.npy", _npy_bytes(np.asarray(final_density)))
+    emit.emit("density_final.npy", _npy_bytes(final_density))
     emit.emit(
         "density_final.json",
-        _json_bytes(_sidecar(grid, t_end, cfg.units, "position_density", np.asarray(final_density))),
+        _json_bytes(_sidecar(grid, t_end, cfg.units, "position_density", final_density)),
     )
 
     doubling_time = math.sqrt(3.0) * 2.0 * mass * width**2 / hbar
     return {
         "spreading_sigma2_max_rel_err": worst_var,
         "density_final_max_rel_err": density_err,
-        "max_purity_deviation": max(abs(o["purity"] - 1.0) for o in observed),
+        "max_purity_deviation": max(abs(o.report.purity - 1.0) for o in observed),
         "doubling_time": doubling_time,
         "final_time": t_end,
-        **_invariant_summary(observed),
+        **_invariant_summary([o.checks for o in observed]),
     }
 
 
@@ -262,7 +255,7 @@ def _run_two_packet(cfg: ScenarioConfig, emit: _Emitter) -> dict:
             f"timeseries_g{g!r}.csv",
             csv_bytes(TIMESERIES_COLUMNS, _timeseries_rows(record.times, observed)),
         )
-        purities = [o["purity"] for o in observed]
+        purities = [o.report.purity for o in observed]
         # Initial decay rate: purity lost per unit time over the first tenth of the run.
         t0 = float(record.times[0])
         horizon = t0 + 0.1 * (float(record.times[-1]) - t0)
@@ -272,12 +265,12 @@ def _run_two_packet(cfg: ScenarioConfig, emit: _Emitter) -> dict:
             "final_purity": purities[-1],
             "min_purity": min(purities),
             "initial_decay_rate": rate,
-            "final_vn_entropy": observed[-1]["vn_entropy"],
-            "final_coherence_offdiag": observed[-1]["coherence_offdiag"],
+            "final_vn_entropy": observed[-1].report.von_neumann_entropy,
+            "final_coherence_offdiag": observed[-1].report.coherence_offdiag,
         }
-        _merge_worst(worst, _invariant_summary(observed))
+        _merge_worst(worst, _invariant_summary([o.checks for o in observed]))
         if g == g_demo:
-            dens = np.asarray(observed[-1]["_density"])
+            dens = observed[-1].report.position_density
             emit.emit("rho_diag_final.npy", _npy_bytes(dens))
             emit.emit(
                 "rho_diag_final.json",
@@ -314,7 +307,7 @@ def _run_perturbative(cfg: ScenarioConfig, emit: _Emitter) -> dict:
     worst: dict[str, float] = {}
     for g in couplings:
         pair = PairPotential(species=cfg.species, units=UnitSystem.dimensionless(g))
-        record = evolve(state, ExternalPotential.null(), pair, cfg.evolution, observer=_invariant_observer())
+        record = evolve(state, ExternalPotential.null(), pair, cfg.evolution, observer=structural_checks)
         assert record.reduced_observables is not None
         full_densities.append(np.sum(np.abs(record.final_state.amplitudes) ** 2, axis=1) * grid.dx)
         _merge_worst(worst, _invariant_summary(record.reduced_observables))

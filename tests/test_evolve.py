@@ -47,8 +47,6 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         EvolutionConfig(dt=1e-3, steps=0)
     with pytest.raises(ValidationError):
-        EvolutionConfig(dt=1e-3, steps=10, splitting="euler")
-    with pytest.raises(ValidationError):
         EvolutionConfig(dt=1e-3, steps=10, boundary="hard-wall")
     with pytest.raises(ValidationError):
         EvolutionConfig(dt=1e-3, steps=10, boundary="absorbing", mask_width=0.3)

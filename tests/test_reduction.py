@@ -164,3 +164,25 @@ def test_report_position_density_is_diag():
     rho = partial_trace(st)
     rep = decoherence_report(rho, d_cut=3.6)
     np.testing.assert_allclose(rep.position_density, position_probability(rho), atol=0)
+
+
+def test_failed_eigensolve_abandons_only_the_spectrum(monkeypatch):
+    g = grid_default(n=128)
+    st = correlated_two_packet(g, sep=8.0, width=0.8)
+    rho = partial_trace(st)
+
+    def fail(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("synthetic non-convergence")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    rep = decoherence_report(rho, d_cut=3.2)
+    checks = structural_checks(st, rho)
+    assert math.isnan(rep.von_neumann_entropy)
+    assert math.isnan(checks["min_eigenvalue"])
+    assert math.isfinite(rep.purity) and math.isfinite(rep.coherence_offdiag)
+    np.testing.assert_allclose(rep.purity, 0.5, atol=1e-6)
+    assert checks["trace_error"] < 1e-10
+    # a failure is not cached: once the solver works, the spectrum appears
+    monkeypatch.undo()
+    np.testing.assert_allclose(rho.weights.sum(), 1.0, atol=1e-10)
+

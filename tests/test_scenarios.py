@@ -5,8 +5,16 @@ import numpy as np
 import pytest
 
 import gravtwin.cli as cli
-from gravtwin import ConfigError, NumericalAbort, load_config, parse_config, run
-from gravtwin.scenarios import TIMESERIES_COLUMNS
+from gravtwin import (
+    ConfigError,
+    NumericalAbort,
+    gaussian_product_metastate,
+    load_config,
+    make_grid,
+    parse_config,
+    run,
+)
+from gravtwin.scenarios import TIMESERIES_COLUMNS, _full_observer
 
 TWO_PACKET_SMALL = """
 # quick demonstration geometry for the test suite
@@ -108,6 +116,48 @@ def test_custom_cow_overrides_geometry():
     cfg = parse_config("scenario = cow-sweep\ncow.preset = custom\ncow.mass = 1e-26\n")
     assert cfg.species.mass == 1e-26
     assert cfg.params["L"] == 0.10
+
+
+ABSORBING_FREE = """
+scenario = free-check
+grid.n = 128
+grid.x_min = -6
+grid.x_max = 6
+packet.momentum = 6
+evolution.steps = 400
+evolution.boundary = absorbing
+evolution.mask_width = 0.2
+evolution.mask_strength = 50
+"""
+
+
+def test_absorbing_boundary_rejected_at_load_time(tmp_path, capsys):
+    # Every grid scenario observes unit-norm reduced states, so a draining
+    # boundary is refused before the run instead of failing mid-way.
+    with pytest.raises(ConfigError) as err:
+        parse_config(ABSORBING_FREE)
+    assert "evolution.boundary" in str(err.value)
+    with pytest.raises(ConfigError) as err:
+        parse_config("scenario = two-packet-decoherence\nevolution.mask_width = 0.2\n")
+    assert "evolution.mask_width" in str(err.value)
+    cfg_file = tmp_path / "absorbing.cfg"
+    cfg_file.write_text(ABSORBING_FREE)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg_file), "--out", str(out)]) == 1
+    assert "evolution.boundary" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_full_observer_solves_one_spectrum_per_record(monkeypatch):
+    grid = make_grid(-8.0, 8.0, 64)
+    state = gaussian_product_metastate(grid, 0.0, 0.8, 0.0)
+    calls = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or real(a))
+    obs = _full_observer(3.2)(state)
+    assert len(calls) == 1
+    assert obs.checks["min_eigenvalue"] > -1e-10
+    assert abs(obs.report.von_neumann_entropy) < 1e-6
 
 
 def test_load_config_missing_file_raises_oserror(tmp_path):
