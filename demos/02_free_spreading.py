@@ -15,9 +15,9 @@ from gravtwin import (
     UnitSystem,
     decoherence_report,
     evolve,
-    gaussian_product_metastate,
     make_grid,
     partial_trace,
+    separated_product_state,
 )
 
 units = UnitSystem.dimensionless(g=0.0)
@@ -25,7 +25,7 @@ species = ParticleSpecies(mass=1.0, radius=1.0)
 grid = make_grid(-15.0, 15.0, 256)
 width = 0.5
 
-state = gaussian_product_metastate(grid, center=0.0, width=width, momentum=0.0)
+state = separated_product_state(grid, (0.0,), width, 0.0)  # stepped as X and r
 pair = PairPotential(species, units)
 
 t_double = np.sqrt(3.0) * 2.0 * width**2  # packet width doubles here

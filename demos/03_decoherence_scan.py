@@ -5,34 +5,26 @@ interaction entangles physical and hidden coordinates, so tracing the
 hidden one out leaves a mixed physical state.  Purity decays faster at
 stronger coupling; the early-time rate scales like g^2.
 """
-import math
-
-import numpy as np
-
 from gravtwin import (
     EvolutionConfig,
     ExternalPotential,
-    MetaState,
     PairPotential,
     ParticleSpecies,
     UnitSystem,
     decoherence_report,
     evolve,
-    gaussian_wavepacket,
     make_grid,
     partial_trace,
+    separated_product_state,
 )
 
 grid = make_grid(-16.0, 16.0, 256)
 species = ParticleSpecies(mass=1.0, radius=1.0)
 width, sep = 0.7, 8.0
 
-left = gaussian_wavepacket(grid, -sep / 2, width, 0.0)
-right = gaussian_wavepacket(grid, +sep / 2, width, 0.0)
-psi = (left + right) / math.sqrt(2.0)
-psi /= np.linalg.norm(psi) * math.sqrt(grid.dx)
-amps = np.outer(psi, psi)
-state = MetaState(grid=grid, amplitudes=0.5 * (amps + amps.T))
+# Both copies in the normalized L + R superposition, stepped as centre of
+# mass and separation; records see the gathered pair amplitude.
+state = separated_product_state(grid, (-sep / 2, sep / 2), width, 0.0)
 
 cfg = EvolutionConfig(dt=5e-4, steps=600, record_every=100)
 d_cut = 4 * width

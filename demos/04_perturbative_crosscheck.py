@@ -17,13 +17,13 @@ from gravtwin import (
     dyson_first_order,
     evolve,
     first_order_position_density,
-    gaussian_product_metastate,
     make_grid,
+    separated_product_state,
 )
 
 grid = make_grid(-16.0, 16.0, 256)
 species = ParticleSpecies(mass=1.0, radius=1.0)
-state = gaussian_product_metastate(grid, center=0.0, width=0.7, momentum=0.0)
+state = separated_product_state(grid, (0.0,), 0.7, 0.0)  # stepped as X and r
 cfg = EvolutionConfig(dt=5e-4, steps=400)
 
 couplings = (1.0 / 3.0, 1.0 / 6.0, 1.0 / 12.0)

@@ -17,12 +17,14 @@ from .core import (
     Grid1D,
     MetaState,
     ParticleSpecies,
+    SeparatedState,
     UnitSystem,
     ValidationError,
     gaussian_product_metastate,
     gaussian_wavepacket,
     make_grid,
     product_metastate,
+    separated_product_state,
     to_dimensionless,
 )
 from .potential import PairPotential, SeparatingAction
@@ -85,6 +87,7 @@ __all__ = [
     "PairPotential",
     "ParticleSpecies",
     "ReducedDensityMatrix",
+    "SeparatedState",
     "SeparatingAction",
     "UnitSystem",
     "ValidationError",
@@ -104,6 +107,7 @@ __all__ = [
     "partial_trace",
     "position_probability",
     "product_metastate",
+    "separated_product_state",
     "structural_checks",
     "to_dimensionless",
     "zeroth_order_probability",

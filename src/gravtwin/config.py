@@ -321,6 +321,10 @@ def _build(scenario: str, values: dict[str, object]) -> ScenarioConfig:
     except ValidationError as exc:
         raise ConfigError(f"grid: {exc}") from None
 
+    for key in ("evolution.steps", "evolution.record_every"):
+        count = values[key]
+        if not (isinstance(count, int) and count >= 1):
+            raise ConfigError(f"{key}: must be an integer >= 1, got {count!r}")
     try:
         evolution = EvolutionConfig(
             dt=float(values["evolution.dt"]),
@@ -328,7 +332,7 @@ def _build(scenario: str, values: dict[str, object]) -> ScenarioConfig:
             record_every=values["evolution.record_every"],
         )
         evolution.check_stability(grid, species.mass, units.hbar)
-    except ValidationError as exc:  # CFLViolation included
+    except ValidationError as exc:  # CFLViolation included; the counts passed above
         raise ConfigError(f"evolution.dt: {exc}") from None
 
     width = _positive(values, "packet.width")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -257,14 +258,10 @@ class ExternalPotential:
         return self.samples.copy()
 
 
-def gaussian_wavepacket(
-    grid: Grid1D, center: float, width: float, momentum: float, hbar: float = 1.0
-) -> NDArray[np.complex128]:
-    """Normalized single-copy packet psi(x) ~ exp(-(x-c)^2/(4 s^2) + i p x / hbar).
-
-    Convention: width s is the position standard deviation at t = 0, so
-    the initial position variance is exactly s^2.
-    """
+def _normalized_packet(
+    grid: Grid1D, center: float, width: float, momentum: float, hbar: float
+) -> tuple[NDArray[np.complex128], float]:
+    """Checked, normalized packet samples and the grid norm they were divided by."""
     if not (math.isfinite(width) and width > 2.0 * grid.dx):
         raise ValidationError(
             f"width {width!r} under-resolved: need width > 2 dx = {2.0 * grid.dx}"
@@ -284,7 +281,18 @@ def gaussian_wavepacket(
         raise ValidationError(
             f"packet touches the grid edge: tail mass {tail:.3e} outside the central 80%"
         )
-    return psi
+    return psi, nrm
+
+
+def gaussian_wavepacket(
+    grid: Grid1D, center: float, width: float, momentum: float, hbar: float = 1.0
+) -> NDArray[np.complex128]:
+    """Normalized single-copy packet psi(x) ~ exp(-(x-c)^2/(4 s^2) + i p x / hbar).
+
+    Convention: width s is the position standard deviation at t = 0, so
+    the initial position variance is exactly s^2.
+    """
+    return _normalized_packet(grid, center, width, momentum, hbar)[0]
 
 
 def product_metastate(grid: Grid1D, psi: NDArray, time: float = 0.0) -> MetaState:
@@ -317,3 +325,97 @@ def gaussian_product_metastate(
     """
     psi = gaussian_wavepacket(grid, center, width, momentum, hbar)
     return product_metastate(grid, psi)
+
+
+@dataclass(frozen=True)
+class SeparatedState:
+    """Pair amplitude as a sum of centre-of-mass times separation factors.
+
+    Psi(x_i, x~_j) = sum_k com[k, i + j] * rel[k, i - j + n]: com[k, s]
+    sits at X_s = x_min + s dx / 2 and rel[k, m] at r_m = (m - n) dx, for
+    s, m = 0 ... 2n - 1 (see separated_axes), so every pair grid point
+    lands exactly on a sample of both factors.  With no external field
+    the two factors evolve independently, one 1D problem each.  Both
+    arrays are complex (K, 2n), validated and marked read only.
+    """
+
+    grid: Grid1D
+    com: NDArray[np.complex128] = field(repr=False)
+    rel: NDArray[np.complex128] = field(repr=False)
+    time: float = 0.0
+
+    def __post_init__(self) -> None:
+        for name in ("com", "rel"):
+            a = np.array(getattr(self, name), dtype=np.complex128, copy=True, order="C")
+            if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] != 2 * self.grid.n:
+                raise ValidationError(
+                    f"{name} shape {a.shape} is not (K, 2n) for grid n={self.grid.n}"
+                )
+            if not np.all(np.isfinite(a.view(np.float64))):
+                raise ValidationError(f"{name} contains non-finite entries")
+            object.__setattr__(self, name, _readonly(a))
+        if self.com.shape != self.rel.shape:
+            raise ValidationError(
+                f"com shape {self.com.shape} and rel shape {self.rel.shape} differ"
+            )
+
+    def metastate(self) -> MetaState:
+        """The amplitude on the pair grid, gathered by exact index arithmetic.
+
+        Mass the factors carry outside the n x n box is dropped here.
+        """
+        n = self.grid.n
+        window = np.lib.stride_tricks.sliding_window_view
+        # hankel[k, i, j] = com[k, i + j]; toeplitz[k, i, j] = rel[k, n + i - j].
+        hankel = window(self.com[:, :-1], n, axis=-1)
+        toeplitz = window(self.rel[:, 1:], n, axis=-1)[..., ::-1]
+        amps = hankel[0] * toeplitz[0]
+        for k in range(1, self.com.shape[0]):
+            amps += hankel[k] * toeplitz[k]
+        return MetaState(grid=self.grid, amplitudes=amps, time=self.time)
+
+
+def separated_axes(grid: Grid1D) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Centre-of-mass samples X_s = x_min + s dx/2 and separations r_m = (m - n) dx."""
+    idx = np.arange(2 * grid.n)
+    return grid.x_min + 0.5 * grid.dx * idx, grid.dx * (idx - grid.n)
+
+
+def separated_product_state(
+    grid: Grid1D,
+    centers: Sequence[float],
+    width: float,
+    momentum: float,
+    hbar: float = 1.0,
+) -> SeparatedState:
+    """psi(x) psi(x~) in separated form, psi the normalized sum of packets at `centers`.
+
+    Equals product_metastate(grid, sum of gaussian_wavepacket(c)) on the
+    pair grid, up to rounding.  The product of packets a and b is
+
+        exp(-(X - (c_a + c_b)/2)^2 / 2 s^2 + 2 i p X / hbar)
+          * exp(-(r - (c_a - c_b))^2 / 8 s^2) / (n_a n_b N^2)
+
+    with n_a packet a's grid norm and N the grid norm of the sum of the
+    normalized packets.  Terms (a, b) and (b, a) share their centre-of-mass
+    factor, so they are stored as one term whose separation factor is even
+    in r; the gathered state is then exactly exchange symmetric.
+    """
+    if len(centers) < 1:
+        raise ValidationError("need at least one packet center")
+    packets = [_normalized_packet(grid, c, width, momentum, hbar) for c in centers]
+    total = sum(psi for psi, _ in packets)
+    big_n2 = float(np.vdot(total, total).real) * grid.dx
+    if not (math.isfinite(big_n2) and big_n2 > 0):
+        raise ValidationError("packet sum is not normalizable")
+    X, r = separated_axes(grid)
+    com, rel = [], []
+    for a, ca in enumerate(centers):
+        for b in range(a, len(centers)):
+            cb = centers[b]
+            com.append(np.exp(-((X - 0.5 * (ca + cb)) ** 2) / (2.0 * width**2) + 2j * momentum * X / hbar))
+            sep = np.exp(-((r - (ca - cb)) ** 2) / (8.0 * width**2))
+            if b != a:
+                sep = sep + np.exp(-((r - (cb - ca)) ** 2) / (8.0 * width**2))
+            rel.append(sep / (packets[a][1] * packets[b][1] * big_n2))
+    return SeparatedState(grid=grid, com=np.array(com), rel=np.array(rel))

@@ -27,12 +27,13 @@ from .core import (
     ExternalPotential,
     Grid1D,
     MetaState,
+    SeparatedState,
     UnitSystem,
     ValidationError,
-    gaussian_product_metastate,
-    gaussian_wavepacket,
-    product_metastate,
+    separated_product_state,
 )
+# Unused here, but perfbench/child.py traces state preparation under these names.
+from .core import gaussian_product_metastate, gaussian_wavepacket, product_metastate  # noqa: F401
 from .evolve import NumericalAbort, dyson_first_order, evolve, first_order_position_density
 from .interferometer import (
     InterferometerConfig,
@@ -54,7 +55,7 @@ class RunManifest:
     config: dict[str, str]
     started_utc: str
     finished_utc: str
-    status: str                     # ok | numerical-abort
+    status: str                     # ok | numerical-abort | error
     outputs: dict[str, dict[str, object]]
     diagnostic: str | None = None
 
@@ -143,10 +144,8 @@ def _timeseries_rows(times, observed: Sequence[_Observation]):
         yield (t, o.checks["norm"], r.purity, r.linear_entropy, r.von_neumann_entropy, r.coherence_offdiag)
 
 
-def _two_packet_state(grid: Grid1D, width: float, separation: float, momentum: float) -> MetaState:
-    left = gaussian_wavepacket(grid, -0.5 * separation, width, momentum)
-    right = gaussian_wavepacket(grid, +0.5 * separation, width, momentum)
-    return product_metastate(grid, left + right)
+def _two_packet_state(grid: Grid1D, width: float, separation: float, momentum: float) -> SeparatedState:
+    return separated_product_state(grid, (-0.5 * separation, 0.5 * separation), width, momentum)
 
 
 def _density_moments(grid: Grid1D, density: NDArray) -> tuple[float, float]:
@@ -189,7 +188,7 @@ def _run_free_check(cfg: ScenarioConfig, emit: _Emitter) -> dict:
     width = float(cfg.params["width"])
     center = float(cfg.params["center"])
     momentum = float(cfg.params["momentum"])
-    state = gaussian_product_metastate(grid, center, width, momentum, hbar=cfg.units.hbar)
+    state = separated_product_state(grid, (center,), width, momentum, hbar=cfg.units.hbar)
     pair = PairPotential(species=cfg.species, units=cfg.units)  # G = 0 here
 
     observer = _full_observer(float(cfg.params["d_cut"]))
@@ -409,10 +408,12 @@ def _utcnow() -> str:
 def run(cfg: ScenarioConfig, out_dir: str | Path) -> RunManifest:
     """Execute one scenario; emit outputs, summary, and the manifest (last).
 
-    Numerical aborts still produce a manifest whose diagnostic block
-    explains the failure, then re-raise for the caller's exit handling.
-    The output directory must be missing or empty, so that the manifest
-    covers every file in it; a non-empty one is rejected before any write.
+    Any failure during the run still produces a manifest whose status
+    (numerical-abort for NumericalAbort, error otherwise) and diagnostic
+    explain it; the original exception is then re-raised for the caller's
+    exit handling.  The output directory must be missing or empty, so that
+    the manifest covers every file in it; a non-empty one is rejected
+    before any write.
     """
     out = Path(out_dir)
     if out.is_dir() and any(out.iterdir()):
@@ -420,12 +421,14 @@ def run(cfg: ScenarioConfig, out_dir: str | Path) -> RunManifest:
     out.mkdir(parents=True, exist_ok=True)
     emitter = _Emitter(out)
     started = _utcnow()
-    status, diagnostic = "ok", None
+    status, diagnostic, failure = "ok", None, None
     try:
         summary = _DISPATCH[cfg.scenario](cfg, emitter)
         emitter.emit("summary.json", _json_bytes(summary))
     except NumericalAbort as exc:
-        status, diagnostic = "numerical-abort", str(exc)
+        status, diagnostic, failure = "numerical-abort", str(exc), exc
+    except Exception as exc:  # recorded in the manifest, then re-raised
+        status, diagnostic, failure = "error", f"{type(exc).__name__}: {exc}", exc
     manifest = RunManifest(
         version=__version__,
         scenario=cfg.scenario,
@@ -437,6 +440,6 @@ def run(cfg: ScenarioConfig, out_dir: str | Path) -> RunManifest:
         diagnostic=diagnostic,
     )
     (out / "manifest.json").write_bytes(_json_bytes(asdict(manifest)))
-    if diagnostic is not None:
-        raise NumericalAbort(diagnostic)
+    if failure is not None:
+        raise failure
     return manifest

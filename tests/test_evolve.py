@@ -12,13 +12,17 @@ from gravtwin import (
     NumericalAbort,
     PairPotential,
     ParticleSpecies,
+    SeparatedState,
     UnitSystem,
     ValidationError,
     dyson_first_order,
     evolve,
     first_order_position_density,
     gaussian_product_metastate,
+    gaussian_wavepacket,
     make_grid,
+    product_metastate,
+    separated_product_state,
 )
 
 UNIT = ParticleSpecies(mass=1.0, radius=1.0)
@@ -339,3 +343,95 @@ def test_dyson_rejects_absorbing_boundary():
     cfg = EvolutionConfig(dt=1e-3, steps=10, boundary="absorbing")
     with pytest.raises(ValidationError):
         dyson_first_order(st, ExternalPotential.null(), pair, cfg)
+
+
+# --- separated centre-of-mass / separation engine ----------------------------
+
+SEPARATED_CASES = {
+    "two-packets-at-rest": ((-2.0, 2.0), 0.0),
+    "two-packets-moving": ((-2.0, 2.0), 0.5),
+    "one-packet": ((0.0,), 1.0),
+}
+
+
+def product_oracle(grid, centers, width, momentum):
+    psi = sum(gaussian_wavepacket(grid, c, width, momentum) for c in centers)
+    return product_metastate(grid, psi)
+
+
+@pytest.mark.parametrize("case", sorted(SEPARATED_CASES))
+def test_separated_builder_gathers_to_product_state(case):
+    centers, momentum = SEPARATED_CASES[case]
+    grid = make_grid(-16.0, 16.0, 256)
+    sep = separated_product_state(grid, centers, 0.7, momentum)
+    gathered = sep.metastate()
+    ref = product_oracle(grid, centers, 0.7, momentum)
+    assert np.max(np.abs(gathered.amplitudes - ref.amplitudes)) <= 1e-15
+    assert gathered.exchange_asymmetry() == 0.0
+    assert sep.com.shape == sep.rel.shape == (len(centers) * (len(centers) + 1) // 2, 512)
+
+
+@pytest.mark.parametrize("case", sorted(SEPARATED_CASES))
+def test_separated_engine_agrees_with_2d_engine(case):
+    """The 2D engine is the oracle; they differ only at the band edge and the seam."""
+    centers, momentum = SEPARATED_CASES[case]
+    units, grid, pair = setup(g=1.0 / 3.0, n=256, half_span=16.0)
+    sep = separated_product_state(grid, centers, 0.7, momentum)
+    ref = product_oracle(grid, centers, 0.7, momentum)
+    cfg = EvolutionConfig(dt=5e-4, steps=200, record_every=200)
+    null = ExternalPotential.null()
+    full = evolve(sep, null, pair, cfg).final_state
+    full_ref = evolve(ref, null, pair, cfg).final_state
+    assert np.max(np.abs(full.amplitudes - full_ref.amplitudes)) <= 5e-9
+    psi0, psi1 = dyson_first_order(sep, null, pair, cfg)
+    ref0, ref1 = dyson_first_order(ref, null, pair, cfg)
+    assert np.max(np.abs(psi0.amplitudes - ref0.amplitudes)) <= 1e-12
+    assert np.max(np.abs(psi1.amplitudes - ref1.amplitudes)) <= 5e-9
+    assert full.time == full_ref.time == psi1.time
+
+
+def test_separated_free_pair_matches_closed_form():
+    """A free packet with momentum: exact within the band, and no seam to wrap."""
+    units, grid, pair = setup(g=0.0, n=128, half_span=10.0)
+    width, momentum = 0.5, 2.0
+    t_end = math.sqrt(3.0) * 2.0 * width**2  # width doubling time, ~0.87
+    steps = 250
+    sep = separated_product_state(grid, (0.0,), width, momentum)
+    rec = evolve(sep, ExternalPotential.null(), pair,
+                 EvolutionConfig(dt=t_end / steps, steps=steps, record_every=steps))
+    x = grid.x
+    alpha = 1.0 + 1j * rec.final_state.time / (2.0 * width**2)
+    psi = (
+        (2.0 * math.pi * width**2) ** -0.25 / np.sqrt(alpha)
+        * np.exp(-((x - momentum * rec.final_state.time) ** 2) / (4.0 * width**2 * alpha)
+                 + 1j * momentum * x - 0.5j * momentum**2 * rec.final_state.time)
+    )
+    exact = np.outer(psi, psi)
+    assert abs(rec.final_state.time - t_end) < 1e-12
+    assert np.max(np.abs(rec.final_state.amplitudes - exact)) <= 1e-12
+
+
+def test_separated_state_rejects_unseparable_runs():
+    units, grid, pair = setup(g=0.1)
+    sep = separated_product_state(grid, (0.0,), 0.7, 0.0)
+    periodic = EvolutionConfig(dt=1e-3, steps=10)
+    absorbing = EvolutionConfig(dt=1e-3, steps=10, boundary="absorbing")
+    harmonic = ExternalPotential.harmonic(omega=1.0)
+    for pot, cfg in ((harmonic, periodic), (ExternalPotential.null(), absorbing)):
+        with pytest.raises(ValidationError):
+            evolve(sep, pot, pair, cfg)
+        with pytest.raises(ValidationError):
+            dyson_first_order(sep, pot, pair, cfg)
+
+
+def test_separated_state_validation():
+    grid = make_grid(-8.0, 8.0, 16)
+    good = np.ones((1, 32))
+    with pytest.raises(ValidationError):
+        SeparatedState(grid=grid, com=np.ones((1, 16)), rel=good)
+    with pytest.raises(ValidationError):
+        SeparatedState(grid=grid, com=good, rel=np.ones((2, 32)))
+    with pytest.raises(ValidationError):
+        SeparatedState(grid=grid, com=good, rel=np.full((1, 32), np.nan))
+    st = SeparatedState(grid=grid, com=good, rel=good)
+    assert not st.com.flags.writeable and not st.rel.flags.writeable

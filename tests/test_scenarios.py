@@ -101,6 +101,13 @@ def test_cfl_checked_at_load_time():
     assert "evolution.dt" in str(err.value)
 
 
+@pytest.mark.parametrize("key", ["evolution.dt", "evolution.steps", "evolution.record_every"])
+def test_evolution_error_names_its_key(key):
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"scenario = free-check\n{key} = 0\n")
+    assert str(err.value).startswith(f"{key}: ")
+
+
 def test_under_resolved_packet_rejected():
     with pytest.raises(ConfigError):
         parse_config("scenario = free-check\ngrid.n = 128\n")  # dx = 0.3125 vs width 0.5
@@ -285,6 +292,25 @@ def test_cli_numerical_abort_exit_code(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "run", boom)
     assert cli.main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_cli_run_failure_leaves_error_manifest(tmp_path, monkeypatch, capsys):
+    import gravtwin.scenarios as scenarios
+    from gravtwin import ValidationError
+
+    def refuse(state):
+        raise ValidationError("synthetic reduction failure")
+
+    monkeypatch.setattr(scenarios, "partial_trace", refuse)
+    cfg_file = tmp_path / "free.cfg"
+    cfg_file.write_text(FREE_SMALL)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg_file), "--out", str(out)]) == 1
+    assert "synthetic reduction failure" in capsys.readouterr().err
+    manifest = read_manifest(out)
+    assert manifest["status"] == "error"
+    assert manifest["diagnostic"] == "ValidationError: synthetic reduction failure"
+    assert manifest["outputs"] == {}
 
 
 def test_cli_bad_usage_is_validation(capsys):
