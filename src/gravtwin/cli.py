@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +17,11 @@ from ._version import __version__
 from .config import ConfigError, load_config
 from .core import ParticleSpecies, UnitSystem, ValidationError
 from .evolve import NumericalAbort
-from .interferometer import InterferometerConfig, correction, cow_neutron_preset
+from .interferometer import InterferometerConfig, cow_neutron_preset
+# Unused here, but perfbench/child.py wraps correction under this name.
+from .interferometer import correction  # noqa: F401
 from .potential import PairPotential
-from .scenarios import csv_bytes, run
+from .scenarios import _cow_sweep, csv_bytes, run
 
 
 class _Parser(argparse.ArgumentParser):
@@ -113,13 +114,7 @@ def _cmd_cow(args) -> int:
             units=UnitSystem.si(),
         )
     start, stop, n = _parse_sweep(args.delta_sweep)
-    rows = []
-    for d in np.linspace(start, stop, n):
-        res = correction(replace(base, delta=float(d)))
-        rows.append((d, res.prob_zeroth, res.Aa_star.real, res.Aa_star.imag, res.S_G0, res.S_G1))
-    Path(args.out).write_bytes(
-        csv_bytes(("delta", "prob_zeroth", "re_Aa_star", "im_Aa_star", "S_G0", "S_G1"), rows)
-    )
+    Path(args.out).write_bytes(_cow_sweep(base, np.linspace(start, stop, n))[0])
     print(f"wrote {n} sweep points to {args.out}")
     return 0
 

@@ -76,13 +76,11 @@ _SPECIES_KEYS = {
 
 _COMMON = {
     "scenario": _Key("word", None, SCENARIOS),
-    "seed": _Key("int", 0),  # reserved: nothing stochastic yet
 }
 
 SCHEMAS: dict[str, dict[str, _Key]] = {
     "potential-scan": {
         **_COMMON,
-        "units": _Key("word", "dimensionless", ("dimensionless",)),
         **_SPECIES_KEYS,
         "coupling.g": _Key("float", 1.0),
         "potential.r_max": _Key("float", 10.0),
@@ -90,7 +88,6 @@ SCHEMAS: dict[str, dict[str, _Key]] = {
     },
     "free-check": {
         **_COMMON,
-        "units": _Key("word", "dimensionless", ("dimensionless",)),
         **_SPECIES_KEYS,
         **_grid_keys(-20.0, 20.0, 512),
         "packet.width": _Key("float", 0.5),
@@ -102,7 +99,6 @@ SCHEMAS: dict[str, dict[str, _Key]] = {
     },
     "two-packet-decoherence": {
         **_COMMON,
-        "units": _Key("word", "dimensionless", ("dimensionless",)),
         **_SPECIES_KEYS,
         **_grid_keys(-16.0, 16.0, 512),
         "packet.width": _Key("float", 0.7),
@@ -115,7 +111,6 @@ SCHEMAS: dict[str, dict[str, _Key]] = {
     },
     "perturbative-crosscheck": {
         **_COMMON,
-        "units": _Key("word", "dimensionless", ("dimensionless",)),
         **_SPECIES_KEYS,
         **_grid_keys(-16.0, 16.0, 512),
         "packet.width": _Key("float", 0.7),
@@ -127,7 +122,6 @@ SCHEMAS: dict[str, dict[str, _Key]] = {
     },
     "cow-sweep": {
         **_COMMON,
-        "units": _Key("word", "SI", ("SI",)),
         "cow.preset": _Key("word", "neutron", ("neutron", "custom")),
         **{key: _Key("float", value) for key, value in _NEUTRON_GEOMETRY.items()},
         "cow.delta_start": _Key("float", 0.0),
@@ -144,7 +138,6 @@ class ScenarioConfig:
     scenario: str
     units: UnitSystem
     species: ParticleSpecies
-    seed: int
     grid: Grid1D | None = None
     evolution: EvolutionConfig | None = None
     params: dict[str, object] = field(default_factory=dict)
@@ -248,7 +241,6 @@ def _positive(values: dict[str, object], key: str) -> float:
 
 
 def _build(scenario: str, values: dict[str, object]) -> ScenarioConfig:
-    seed = int(values["seed"])
     params: dict[str, object] = {}
 
     if scenario == "cow-sweep":
@@ -284,7 +276,6 @@ def _build(scenario: str, values: dict[str, object]) -> ScenarioConfig:
             scenario=scenario,
             units=units,
             species=species,
-            seed=seed,
             params=params,
             resolved={k: _canonical(v) for k, v in values.items()},
         )
@@ -309,7 +300,6 @@ def _build(scenario: str, values: dict[str, object]) -> ScenarioConfig:
             scenario=scenario,
             units=units,
             species=species,
-            seed=seed,
             params=params,
             resolved={k: _canonical(v) for k, v in values.items()},
         )
@@ -383,7 +373,6 @@ def _build(scenario: str, values: dict[str, object]) -> ScenarioConfig:
         scenario=scenario,
         units=units,
         species=species,
-        seed=seed,
         grid=grid,
         evolution=evolution,
         params=params,

@@ -145,8 +145,9 @@ class Grid1D:
     x_max: float
     n: int
     dx: float
-    x: NDArray[np.float64] = field(repr=False)
-    momentum_grid: NDArray[np.float64] = field(repr=False)  # wavenumbers, 1/m
+    # Derived from x_min, x_max and n, so equality compares those alone.
+    x: NDArray[np.float64] = field(repr=False, compare=False)
+    momentum_grid: NDArray[np.float64] = field(repr=False, compare=False)  # wavenumbers, 1/m
 
     @property
     def span(self) -> float:

@@ -9,16 +9,18 @@ position space and the kinetic phase for both coordinates applied in one
 2D transform pass.  Second order in dt; exactly norm-preserving under
 periodic boundaries.
 
-The engine is picked from the type of the state.  A MetaState is stepped
-on the n x n pair grid.  A SeparatedState is stepped as its centre of
-mass X = (x + x~)/2 (mass 2m, free) and separation r = x - x~ (mass m/2,
-feeling V_pair(|r|)): with no external field the step above factorises
-exactly into one 1D step per coordinate, and the pair amplitude is
-gathered only at record points.
+There is one engine per type of state, each with one such step applied
+to a stack of channels.  A MetaState is stepped on the n x n pair grid.
+A SeparatedState is stepped as its centre of mass X = (x + x~)/2 (mass
+2m, free) and separation r = x - x~ (mass m/2, feeling V_pair(|r|)):
+with no external field the step above factorises exactly into one 1D
+step per coordinate, and the pair amplitude is gathered only at record
+points.
 
-A companion first-order engine propagates the coupling-free channel and
-the single-insertion correction channel side by side, for perturbative
-cross-checks against the full evolution.
+evolve runs the coupled step.  dyson_first_order runs the same engine's
+coupling-free step, with the coupling's derivative inserted around it,
+to carry the coupling-free channel and the single-insertion correction
+channel side by side for perturbative cross-checks.
 """
 from __future__ import annotations
 
@@ -127,126 +129,132 @@ def _absorber_1d(grid: Grid1D, width_fraction: float) -> NDArray[np.float64]:
     return prof
 
 
-def _ext_diag(grid: Grid1D, pot_ext: ExternalPotential, pair: PairPotential) -> NDArray[np.float64]:
-    """V_ext(x) + V_ext(x~) over the pair grid."""
-    v_ext = pot_ext.sample(grid, pair.species, pair.units)
-    return v_ext[:, None] + v_ext[None, :]
-
-
-def _phases(
-    grid: Grid1D,
-    v_diag: NDArray[np.float64],
-    mass: float,
-    hbar: float,
-    dt: float,
-) -> tuple[NDArray[np.complex128], NDArray[np.complex128]]:
-    """Half-step potential phase and full-step kinetic phase of one Strang step."""
-    k2 = grid.momentum_grid**2
-    half_v = np.exp(-0.5j * dt / hbar * v_diag)
-    full_k = np.exp(-0.5j * hbar * dt / mass * (k2[:, None] + k2[None, :]))
-    return half_v, full_k
-
-
-def _separated_kinetic(
-    grid: Grid1D, mass: float, hbar: float, dt: float
-) -> tuple[NDArray[np.complex128], NDArray[np.complex128]]:
-    """Full-step kinetic phases of X (2n points at dx/2, mass 2m) and r (2n points at dx, mass m/2)."""
-    n2 = 2 * grid.n
-    k_com = 2.0 * math.pi * sfft.fftfreq(n2, d=0.5 * grid.dx)
-    k_rel = 2.0 * math.pi * sfft.fftfreq(n2, d=grid.dx)
-    return (
-        np.exp(-0.5j * hbar * dt / (2.0 * mass) * k_com**2),
-        np.exp(-0.5j * hbar * dt / (0.5 * mass) * k_rel**2),
-    )
-
-
-def _separation_potential(grid: Grid1D, pair: PairPotential) -> NDArray[np.float64]:
-    """V_pair(|r|) on the separation samples of a SeparatedState."""
-    return pair.evaluate(np.abs(separated_axes(grid)[1]))
-
-
-def _require_separable(pot_ext: ExternalPotential, cfg: EvolutionConfig) -> None:
-    """Only a field-free, periodic run keeps the centre of mass and separation apart."""
-    if pot_ext.kind != "none":
-        raise ValidationError(
-            f"a SeparatedState needs external potential kind 'none', got {pot_ext.kind!r}; "
-            "step its metastate() instead"
-        )
-    if cfg.boundary != "periodic":
-        raise ValidationError(
-            "a SeparatedState needs periodic boundaries; step its metastate() instead"
-        )
-
-
-def _require_normalized(state: MetaState) -> None:
-    nrm = state.norm()
-    if abs(nrm - 1.0) > 1e-8:
-        raise ValidationError(f"expected a normalized state, got norm {nrm!r}")
-
-
 def _non_finite(arr: NDArray) -> int:
     return int(np.count_nonzero(~np.isfinite(arr.view(np.float64))))
 
 
-_Stepper = tuple[
-    NDArray[np.complex128],
-    Callable[[NDArray[np.complex128]], NDArray[np.complex128]],
-    Callable[[NDArray[np.complex128], float], MetaState],
-]
+class _GridEngine:
+    """The 2D engine: n x n pair amplitudes, stacked as channels on a leading axis."""
 
+    def __init__(
+        self, state: MetaState, pot_ext: ExternalPotential, pair: PairPotential, cfg: EvolutionConfig,
+        coupled: bool,
+    ) -> None:
+        self.workers = fft_workers()
+        self.state, self.pair = state, pair
+        grid, hbar = state.grid, pair.units.hbar
+        v_ext = pot_ext.sample(grid, pair.species, pair.units)
+        v_diag = v_ext[:, None] + v_ext[None, :]
+        if coupled:
+            v_diag = v_diag + self.pair_samples()
+        k2 = grid.momentum_grid**2
+        self.half_v = np.exp(-0.5j * cfg.dt / hbar * v_diag)
+        self.full_k = np.exp(-0.5j * hbar * cfg.dt / pair.species.mass * (k2[:, None] + k2[None, :]))
+        self.damp = None
+        if cfg.boundary == "absorbing":
+            d1 = np.exp(-cfg.mask_strength * cfg.dt * _absorber_1d(grid, cfg.mask_width))
+            self.damp = d1[:, None] * d1[None, :]
 
-def _grid_stepper(
-    state: MetaState, pot_ext: ExternalPotential, pair: PairPotential, cfg: EvolutionConfig, w: int
-) -> _Stepper:
-    """Working array, Strang step and gather of the 2D engine."""
-    grid = state.grid
-    half_v, full_k = _phases(
-        grid,
-        _ext_diag(grid, pot_ext, pair) + pair.evaluate_on_grid(grid),
-        pair.species.mass,
-        pair.units.hbar,
-        cfg.dt,
-    )
-    damp = None
-    if cfg.boundary == "absorbing":
-        prof = _absorber_1d(grid, cfg.mask_width)
-        d1 = np.exp(-cfg.mask_strength * cfg.dt * prof)
-        damp = d1[:, None] * d1[None, :]
+    def pair_samples(self) -> NDArray[np.float64]:
+        """V_pair(|x - x~|) over the pair grid."""
+        return self.pair.evaluate_on_grid(self.state.grid)
 
-    def step(psi: NDArray[np.complex128]) -> NDArray[np.complex128]:
-        psi *= half_v
-        psi = sfft.fft2(psi, workers=w, overwrite_x=True)
-        psi *= full_k
-        psi = sfft.ifft2(psi, workers=w, overwrite_x=True)
-        psi *= half_v
-        if damp is not None:
-            psi *= damp
-        return psi
-
-    def gather(psi: NDArray[np.complex128], t: float) -> MetaState:
-        return MetaState(grid=grid, amplitudes=psi, time=t)
-
-    return np.array(state.amplitudes, dtype=np.complex128, order="C"), step, gather
-
-
-def _separated_stepper(state: SeparatedState, pair: PairPotential, cfg: EvolutionConfig, w: int) -> _Stepper:
-    """Working array (com, rel) as (2, K, 2n), the factorised Strang step and the gather."""
-    grid, hbar = state.grid, pair.units.hbar
-    half_v = np.exp(-0.5j * cfg.dt / hbar * _separation_potential(grid, pair))
-    full_k = np.stack(_separated_kinetic(grid, pair.species.mass, hbar, cfg.dt))[:, None, :]
-
-    def step(z: NDArray[np.complex128]) -> NDArray[np.complex128]:
-        z[1] *= half_v  # the half potential phase is 1 on X
-        z = sfft.fft(z, workers=w, overwrite_x=True)
-        z *= full_k
-        z = sfft.ifft(z, workers=w, overwrite_x=True)
-        z[1] *= half_v
+    def channels(self, extra: int) -> NDArray[np.complex128]:
+        """The start amplitude as channel 0, then `extra` zero channels."""
+        n = self.state.grid.n
+        z = np.zeros((1 + extra, n, n), dtype=np.complex128)
+        z[0] = self.state.amplitudes
         return z
 
-    def gather(z: NDArray[np.complex128], t: float) -> MetaState:
-        return SeparatedState(grid=grid, com=z[0], rel=z[1], time=t).metastate()
+    def step(self, z: NDArray[np.complex128]) -> NDArray[np.complex128]:
+        z *= self.half_v
+        z = sfft.fft2(z, workers=self.workers, overwrite_x=True)
+        z *= self.full_k
+        z = sfft.ifft2(z, workers=self.workers, overwrite_x=True)
+        z *= self.half_v
+        if self.damp is not None:
+            z *= self.damp
+        return z
 
-    return np.stack((state.com, state.rel)), step, gather
+    def gather(self, z: NDArray[np.complex128], t: float) -> MetaState:
+        """The pair amplitude in the last channel."""
+        return MetaState(grid=self.state.grid, amplitudes=z[-1], time=t)
+
+
+class _SeparatedEngine:
+    """The separated engine: centre-of-mass factors in channel 0, separation factors after it.
+
+    Each channel is (K, 2n).  X sits on 2n points at dx/2 with mass 2m and
+    is free; r sits on 2n points at dx with mass m/2 and alone feels
+    V_pair(|r|).
+    """
+
+    def __init__(
+        self, state: SeparatedState, pot_ext: ExternalPotential, pair: PairPotential, cfg: EvolutionConfig,
+        coupled: bool,
+    ) -> None:
+        self.workers = fft_workers()
+        self.state, self.pair = state, pair
+        grid, hbar, mass = state.grid, pair.units.hbar, pair.species.mass
+        self.half_v = np.exp(-0.5j * cfg.dt / hbar * self.pair_samples()) if coupled else None
+        k_com = 2.0 * math.pi * sfft.fftfreq(2 * grid.n, d=0.5 * grid.dx)
+        k_rel = 2.0 * math.pi * sfft.fftfreq(2 * grid.n, d=grid.dx)
+        self.kin_com = np.exp(-0.5j * hbar * cfg.dt / (2.0 * mass) * k_com**2)
+        self.kin_rel = np.exp(-0.5j * hbar * cfg.dt / (0.5 * mass) * k_rel**2)
+
+    def pair_samples(self) -> NDArray[np.float64]:
+        """V_pair(|r|) on the separation samples."""
+        return self.pair.evaluate(np.abs(separated_axes(self.state.grid)[1]))
+
+    def channels(self, extra: int) -> NDArray[np.complex128]:
+        """The start factors as channels 0 (com) and 1 (rel), then `extra` zero channels."""
+        z = np.zeros((2 + extra,) + self.state.com.shape, dtype=np.complex128)
+        z[0], z[1] = self.state.com, self.state.rel
+        return z
+
+    def step(self, z: NDArray[np.complex128]) -> NDArray[np.complex128]:
+        if self.half_v is not None:
+            z[1:] *= self.half_v
+        z = sfft.fft(z, workers=self.workers, overwrite_x=True)
+        z[0] *= self.kin_com
+        z[1:] *= self.kin_rel
+        z = sfft.ifft(z, workers=self.workers, overwrite_x=True)
+        if self.half_v is not None:
+            z[1:] *= self.half_v
+        return z
+
+    def gather(self, z: NDArray[np.complex128], t: float) -> MetaState:
+        """The pair amplitude of the centre-of-mass channel times the last channel."""
+        return SeparatedState(grid=self.state.grid, com=z[0], rel=z[-1], time=t).metastate()
+
+
+def _engine_for(
+    state: MetaState | SeparatedState, pot_ext: ExternalPotential, pair: PairPotential, cfg: EvolutionConfig
+) -> tuple[type[_GridEngine] | type[_SeparatedEngine], MetaState]:
+    """The engine for the state's type and the start on the pair grid, once the shared checks pass.
+
+    Only a field-free, periodic run keeps the centre of mass and the
+    separation apart; every start must be normalized and dt must pass
+    the CFL guard.
+    """
+    if isinstance(state, SeparatedState):
+        if pot_ext.kind != "none":
+            raise ValidationError(
+                f"a SeparatedState needs external potential kind 'none', got {pot_ext.kind!r}; "
+                "step its metastate() instead"
+            )
+        if cfg.boundary != "periodic":
+            raise ValidationError(
+                "a SeparatedState needs periodic boundaries; step its metastate() instead"
+            )
+        engine, start = _SeparatedEngine, state.metastate()
+    else:
+        engine, start = _GridEngine, state
+    nrm = start.norm()
+    if abs(nrm - 1.0) > 1e-8:
+        raise ValidationError(f"expected a normalized state, got norm {nrm!r}")
+    cfg.check_stability(state.grid, pair.species.mass, pair.units.hbar)
+    return engine, start
 
 
 def evolve(
@@ -271,21 +279,9 @@ def evolve(
     observer, the snapshots and the final state see the gathered
     MetaState; mass outside the n x n box is dropped there.
     """
-    if isinstance(state, SeparatedState):
-        _require_separable(pot_ext, cfg)
-        start = state.metastate()
-    else:
-        start = state
-    _require_normalized(start)
-    grid = state.grid
-    cfg.check_stability(grid, pair.species.mass, pair.units.hbar)
-
-    w = fft_workers()
-    if isinstance(state, SeparatedState):
-        psi, step_once, gather = _separated_stepper(state, pair, cfg, w)
-    else:
-        psi, step_once, gather = _grid_stepper(state, pot_ext, pair, cfg, w)
-    record_points = sorted({0, cfg.steps} | set(range(0, cfg.steps + 1, cfg.record_every)))
+    build, start = _engine_for(state, pot_ext, pair, cfg)
+    engine = build(state, pot_ext, pair, cfg, coupled=True)
+    psi = engine.channels(extra=0)
 
     times: list[float] = []
     norms: list[float] = []
@@ -300,7 +296,7 @@ def evolve(
                 f"non-finite amplitudes at step {step} (t={t!r}): {bad} bad entries"
             )
         if snap is None:
-            snap = gather(psi, t)
+            snap = engine.gather(psi, t)
         times.append(t)
         norms.append(snap.norm())
         if observer is not None:
@@ -311,8 +307,8 @@ def evolve(
 
     last = record(0, start)
     for step in range(1, cfg.steps + 1):
-        psi = step_once(psi)
-        if step in record_points:
+        psi = engine.step(psi)
+        if step % cfg.record_every == 0 or step == cfg.steps:
             last = record(step)
 
     return EvolutionRecord(
@@ -322,49 +318,6 @@ def evolve(
         reduced_observables=observed if observer is not None else None,
         snapshots=snaps if keep_snapshots else None,
     )
-
-
-def _grid_dyson(
-    state0: MetaState, pot_ext: ExternalPotential, pair: PairPotential, cfg: EvolutionConfig, w: int
-) -> tuple[NDArray[np.complex128], NDArray[np.complex128]]:
-    """psi0 and psi1 on the pair grid, stacked through one transform pair per step."""
-    grid, hbar = state0.grid, pair.units.hbar
-    d0, full_k = _phases(grid, _ext_diag(grid, pot_ext, pair), pair.species.mass, hbar, cfg.dt)
-    half_insert = (-0.5j * cfg.dt / hbar) * pair.evaluate_on_grid(grid)
-    z = np.zeros((2, grid.n, grid.n), dtype=np.complex128)  # (psi0, psi1)
-    z[0] = state0.amplitudes
-    for _ in range(cfg.steps):
-        z[1] += half_insert * z[0]
-        z *= d0
-        z = sfft.fft2(z, workers=w, overwrite_x=True)
-        z *= full_k
-        z = sfft.ifft2(z, workers=w, overwrite_x=True)
-        z *= d0
-        z[1] += half_insert * z[0]
-    return z[0], z[1]
-
-
-def _separated_dyson(
-    state0: SeparatedState, pair: PairPotential, cfg: EvolutionConfig, w: int
-) -> NDArray[np.complex128]:
-    """(F, G, H) as (3, K, 2n): psi0 = (F, G) and psi1 = (F, H) in separated form.
-
-    The coupling acts on r only, so the insertion feeds the first-order
-    separation factor H from G and the centre of mass F is shared.
-    """
-    grid, hbar = state0.grid, pair.units.hbar
-    half_insert = (-0.5j * cfg.dt / hbar) * _separation_potential(grid, pair)
-    k_com, k_rel = _separated_kinetic(grid, pair.species.mass, hbar, cfg.dt)
-    full_k = np.stack((k_com, k_rel, k_rel))[:, None, :]
-    z = np.zeros((3,) + state0.com.shape, dtype=np.complex128)
-    z[0], z[1] = state0.com, state0.rel
-    for _ in range(cfg.steps):
-        z[2] += half_insert * z[1]
-        z = sfft.fft(z, workers=w, overwrite_x=True)
-        z *= full_k
-        z = sfft.ifft(z, workers=w, overwrite_x=True)
-        z[2] += half_insert * z[1]
-    return z
 
 
 def dyson_first_order(
@@ -381,27 +334,26 @@ def dyson_first_order(
         psi1 = -(i/hbar) * sum_k U0(t_b, t_k) V_pair U0(t_k, t_a) psi(t_a) dt
 
     discretised as the derivative in the coupling of the Strang step that
-    evolve applies.  The coupling enters that step only through its two
-    half-step potential phases exp(-i (V_ext + V_pair) dt / 2 hbar), one at
-    each end; the kinetic phase carries none.  So each step adds a half
-    insertion -i V_pair dt / (2 hbar) psi0 at both of its ends.  psi0 is
-    then exactly the coupling-free run of evolve, psi1 exactly the
+    evolve applies.  Both are stepped by the engine evolve picks for the
+    state, with the coupling left out of its step.  The coupling enters
+    evolve's step only through its two half-step potential phases
+    exp(-i (V_ext + V_pair) dt / 2 hbar), one at each end; the kinetic
+    phase carries none.  So around each coupling-free step a half
+    insertion -i V_pair dt / (2 hbar) psi0 is added to psi1 at both ends.
+    psi1 is the last channel of the engine's stack and is fed from the
+    one before it: psi0's pair amplitude on the 2D engine, its separation
+    factor on the separated engine (the centre-of-mass factor is shared).
+    psi0 is then exactly the coupling-free run of evolve, psi1 exactly the
     first-order term of the full discrete map, and the residual against
     evolve is purely second order in the coupling: no first-order
     splitting mismatch is left over.  psi1 is linear in the coupling, so
     scaling G by a power of two scales psi1 by the same power, bit for
-    bit.  The two channels share one stacked transform pair per step.
+    bit.  The channels share one stacked transform pair per step.
     Requires periodic boundaries and a perturbatively small coupling
-    (|V_pair(0)| steps dt / hbar < 0.1).  A SeparatedState is stepped
-    by the separated engine (external kind none only) and both channels
-    are gathered at the end.
+    (|V_pair(0)| steps dt / hbar < 0.1).  A SeparatedState also needs
+    external kind none; both channels are gathered at the end.
     """
-    separated = isinstance(state0, SeparatedState)
-    if separated:
-        _require_separable(pot_ext, cfg)
-    _require_normalized(state0.metastate() if separated else state0)
-    grid = state0.grid
-    cfg.check_stability(grid, pair.species.mass, pair.units.hbar)
+    build = _engine_for(state0, pot_ext, pair, cfg)[0]  # the gathered start is not kept
     if cfg.boundary != "periodic":
         raise ValidationError("dyson_first_order requires periodic boundaries")
     hbar = pair.units.hbar
@@ -411,25 +363,19 @@ def dyson_first_order(
             f"coupling too large for a first-order split: |V(0)| T / hbar = {action_est:.3g} >= 0.1"
         )
 
-    w = fft_workers()
+    engine = build(state0, pot_ext, pair, cfg, coupled=False)
+    half_insert = (-0.5j * cfg.dt / hbar) * engine.pair_samples()
+    z = engine.channels(extra=1)
+    for _ in range(cfg.steps):
+        z[-1] += half_insert * z[-2]
+        z = engine.step(z)
+        z[-1] += half_insert * z[-2]
+
     t_end = state0.time + cfg.steps * cfg.dt
-    if separated:
-        f, g, h = _separated_dyson(state0, pair, cfg, w)
-        channels = {"psi0": (f, g), "psi1": (f, h)}
-    else:
-        phi, chi = _grid_dyson(state0, pot_ext, pair, cfg, w)
-        channels = {"psi0": (phi,), "psi1": (chi,)}
-    for name, parts in channels.items():
-        if any(_non_finite(a) for a in parts):
+    for name, channels in (("psi0", z[:-1]), ("psi1", z[-1])):
+        if _non_finite(channels):
             raise NumericalAbort(f"non-finite amplitudes in {name} at t={t_end!r}")
-
-    def gather(parts: tuple[NDArray[np.complex128], ...]) -> MetaState:
-        if separated:
-            com, rel = parts
-            return SeparatedState(grid=grid, com=com, rel=rel, time=t_end).metastate()
-        return MetaState(grid=grid, amplitudes=parts[0], time=t_end)
-
-    return gather(channels["psi0"]), gather(channels["psi1"])
+    return engine.gather(z[:-1], t_end), engine.gather(z, t_end)
 
 
 def first_order_position_density(psi0: MetaState, psi1: MetaState) -> NDArray[np.float64]:
@@ -438,7 +384,7 @@ def first_order_position_density(psi0: MetaState, psi1: MetaState) -> NDArray[np
     Pr(X) = integral over the hidden coordinate of |psi0|^2 + 2 Re(psi0 psi1*);
     the correction integrates to zero, so the total mass stays 1.
     """
-    if psi0.grid is not psi1.grid and psi0.grid != psi1.grid:
+    if psi0.grid != psi1.grid:
         raise ValidationError("psi0 and psi1 must share a grid")
     a0 = psi0.amplitudes
     a1 = psi1.amplitudes

@@ -36,6 +36,7 @@ from .core import (
 from .core import gaussian_product_metastate, gaussian_wavepacket, product_metastate  # noqa: F401
 from .evolve import NumericalAbort, dyson_first_order, evolve, first_order_position_density
 from .interferometer import (
+    CorrectionResult,
     InterferometerConfig,
     correction,
     harmonic_coefficient_diff,
@@ -46,6 +47,7 @@ from .potential import PairPotential
 from .reduction import DecoherenceReport, decoherence_report, partial_trace, structural_checks
 
 TIMESERIES_COLUMNS = ("t", "norm", "purity", "linear_entropy", "vn_entropy", "coherence_offdiag")
+_COW_COLUMNS = ("delta", "prob_zeroth", "re_Aa_star", "im_Aa_star", "S_G0", "S_G1")
 
 
 @dataclass(frozen=True)
@@ -341,6 +343,18 @@ def _run_perturbative(cfg: ScenarioConfig, emit: _Emitter) -> dict:
     }
 
 
+def _cow_sweep(
+    base: InterferometerConfig, deltas: NDArray[np.float64]
+) -> tuple[bytes, list[CorrectionResult]]:
+    """The sweep of base over deltas as CSV, and the closed-form correction at each delta."""
+    results = [correction(replace(base, delta=float(d))) for d in deltas]
+    rows = (
+        (d, r.prob_zeroth, r.Aa_star.real, r.Aa_star.imag, r.S_G0, r.S_G1)
+        for d, r in zip(deltas, results)
+    )
+    return csv_bytes(_COW_COLUMNS, rows), results
+
+
 def _run_cow_sweep(cfg: ScenarioConfig, emit: _Emitter) -> dict:
     L = float(cfg.params["L"])
     v = float(cfg.params["v"])
@@ -351,17 +365,16 @@ def _run_cow_sweep(cfg: ScenarioConfig, emit: _Emitter) -> dict:
     )
     hbar = cfg.units.hbar
 
-    rows = []
     max_re = 0.0
     max_abs = 0.0
     max_prob_corr = 0.0
     enum_max_re = 0.0
     comp_max = 0.0
     base = InterferometerConfig(species=cfg.species, L=L, v=v, delta=0.0, units=cfg.units)
-    for d in deltas:
+    sweep, results = _cow_sweep(base, deltas)
+    emit.emit("cow.csv", sweep)
+    for d, res in zip(deltas, results):
         icfg = replace(base, delta=float(d))
-        res = correction(icfg)
-        rows.append((d, res.prob_zeroth, res.Aa_star.real, res.Aa_star.imag, res.S_G0, res.S_G1))
         max_re = max(max_re, abs(res.Aa_star.real))
         max_abs = max(max_abs, abs(res.Aa_star))
         max_prob_corr = max(max_prob_corr, abs(res.prob_correction))
@@ -369,10 +382,6 @@ def _run_cow_sweep(cfg: ScenarioConfig, emit: _Emitter) -> dict:
         other = zeroth_order_probability(replace(base, delta=float(d) + math.pi * hbar))
         comp_max = max(comp_max, abs(res.prob_zeroth + other - 1.0))
 
-    emit.emit(
-        "cow.csv",
-        csv_bytes(("delta", "prob_zeroth", "re_Aa_star", "im_Aa_star", "S_G0", "S_G1"), rows),
-    )
     diff = harmonic_coefficient_diff(base)
     res0 = correction(base)
     return {

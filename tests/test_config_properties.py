@@ -69,7 +69,6 @@ def render(pairs) -> str:
 def scenario_texts(draw):
     scenario = draw(st.sampled_from(SCENARIOS))
     overrides = draw(st.fixed_dictionaries({}, optional=OVERRIDES[scenario]))
-    overrides["seed"] = draw(st.integers(min_value=0, max_value=2**31))
     return render({"scenario": scenario, **overrides})
 
 
@@ -86,7 +85,7 @@ def test_resolved_config_round_trips(text):
     again = parse_config(render(first.resolved))
     assert again.resolved == first.resolved
     assert again.params == first.params
-    assert again.scenario == first.scenario and again.seed == first.seed
+    assert again.scenario == first.scenario
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)

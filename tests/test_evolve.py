@@ -208,15 +208,18 @@ def test_dyson_zero_coupling_kills_correction():
 
 
 def test_dyson_zeroth_channel_matches_free_run():
-    # psi0 must be the g = 0 discretization exactly, not merely close
+    # psi0 must be the g = 0 discretization exactly, not merely close, on either engine
     units, grid, pair = setup(g=0.5)
     _, _, free_pair = setup(g=0.0)
-    st = gaussian_product_metastate(grid, 0.0, 0.7, 0.5)
     cfg = EvolutionConfig(dt=1e-3, steps=100)
-    pot = ExternalPotential.harmonic(omega=1.0)
-    psi0, _ = dyson_first_order(st, pot, pair, cfg)
-    ref = evolve(st, pot, free_pair, cfg).final_state
-    assert np.max(np.abs(psi0.amplitudes - ref.amplitudes)) < 1e-12
+    starts = (
+        (gaussian_product_metastate(grid, 0.0, 0.7, 0.5), ExternalPotential.harmonic(omega=1.0)),
+        (separated_product_state(grid, (-1.5, 1.5), 0.7, 0.5), ExternalPotential.null()),
+    )
+    for st, pot in starts:
+        psi0, _ = dyson_first_order(st, pot, pair, cfg)
+        ref = evolve(st, pot, free_pair, cfg).final_state
+        assert np.max(np.abs(psi0.amplitudes - ref.amplitudes)) < 1e-12
 
 
 def test_dyson_residual_quarter_scaling():
@@ -274,13 +277,17 @@ EXTERNALS = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(EXTERNALS))
+@pytest.mark.parametrize("kind", sorted(EXTERNALS) + ["separated"])
 def test_dyson_is_derivative_of_strang_step(kind):
-    """psi1 against a Richardson forward difference in g of the 2D engine."""
-    pot, center, momentum = EXTERNALS[kind]
+    """psi1 against a Richardson forward difference in g of evolve, on either engine."""
     g = 0.5
     units, grid, pair = setup(g=g)
-    st = gaussian_product_metastate(grid, center, 0.7, momentum)
+    if kind == "separated":
+        pot = ExternalPotential.null()
+        st = separated_product_state(grid, (-1.5, 1.5), 0.7, 0.5)
+    else:
+        pot, center, momentum = EXTERNALS[kind]
+        st = gaussian_product_metastate(grid, center, 0.7, momentum)
     cfg = EvolutionConfig(dt=1e-3, steps=100)
     _, psi1 = dyson_first_order(st, pot, pair, cfg)
 
@@ -327,6 +334,19 @@ def test_dyson_density_mass_conserved():
                                    EvolutionConfig(dt=1e-3, steps=80))
     pr = first_order_position_density(psi0, psi1)
     np.testing.assert_allclose(np.sum(pr) * grid.dx, 1.0, atol=1e-8)
+
+
+def test_first_order_density_compares_grids_by_value():
+    units, grid, pair = setup(g=0.5)
+    twin_grid = make_grid(grid.x_min, grid.x_max, grid.n)
+    psi0, psi1 = dyson_first_order(gaussian_product_metastate(grid, 0.0, 0.7, 0.0),
+                                   ExternalPotential.null(), pair, EvolutionConfig(dt=1e-3, steps=20))
+    twin = MetaState(grid=twin_grid, amplitudes=psi1.amplitudes, time=psi1.time)
+    np.testing.assert_array_equal(first_order_position_density(psi0, twin),
+                                  first_order_position_density(psi0, psi1))
+    coarse = gaussian_product_metastate(make_grid(grid.x_min, grid.x_max, grid.n // 2), 0.0, 0.7, 0.0)
+    with pytest.raises(ValidationError):
+        first_order_position_density(psi0, coarse)
 
 
 def test_dyson_precondition_guard():

@@ -54,9 +54,15 @@ def test_parse_comments_and_blank_lines():
 
 
 def test_unknown_key_named_in_error():
-    with pytest.raises(ConfigError) as err:
-        parse_config("scenario = free-check\npacket.widht = 0.5\n")
-    assert "packet.widht" in str(err.value)
+    # seed and units are no keys: each could take only one value
+    for text, key in (
+        ("scenario = free-check\npacket.widht = 0.5\n", "packet.widht"),
+        ("scenario = free-check\nseed = 0\n", "seed"),
+        ("scenario = cow-sweep\nunits = SI\n", "units"),
+    ):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert repr(key) in str(err.value)
 
 
 def test_duplicate_key_rejected():
