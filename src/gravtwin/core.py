@@ -206,25 +206,19 @@ class ExternalPotential:
     """One-body potential applied identically to both copies.
 
     Kinds: none, uniform-field (slope a, V = a x), harmonic
-    (V = m omega^2 x^2 / 2), tabulated (explicit samples on the grid).
+    (V = m omega^2 x^2 / 2).  Each is a polynomial of degree <= 2 with
+    V(0) = 0, so V(x) + V(x~) = 2 V(X) + [V(r) + V(-r)] / 4 exactly, for
+    X = (x + x~)/2 and r = x - x~.
     """
 
     kind: str = "none"
     slope: float = 0.0
     omega: float = 0.0
-    samples: NDArray[np.float64] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if self.kind not in ("none", "uniform-field", "harmonic", "tabulated"):
+        if self.kind not in ("none", "uniform-field", "harmonic"):
             raise ValidationError(f"unknown potential kind {self.kind!r}")
-        if self.kind == "tabulated":
-            if self.samples is None:
-                raise ValidationError("tabulated potential needs samples")
-            s = np.array(self.samples, dtype=np.float64, copy=True)
-            if s.ndim != 1 or not np.all(np.isfinite(s)):
-                raise ValidationError("tabulated samples must be a finite 1D array")
-            object.__setattr__(self, "samples", _readonly(s))
-        elif not (math.isfinite(self.slope) and math.isfinite(self.omega)):
+        if not (math.isfinite(self.slope) and math.isfinite(self.omega)):
             raise ValidationError("potential parameters must be finite")
 
     @classmethod
@@ -239,24 +233,13 @@ class ExternalPotential:
     def harmonic(cls, omega: float) -> "ExternalPotential":
         return cls(kind="harmonic", omega=omega)
 
-    @classmethod
-    def tabulated(cls, values: NDArray) -> "ExternalPotential":
-        return cls(kind="tabulated", samples=np.asarray(values, dtype=np.float64))
-
-    def sample(self, grid: Grid1D, species: ParticleSpecies, units: UnitSystem) -> NDArray[np.float64]:
-        """V(x) on the grid, in the active unit system's energy unit."""
-        if self.kind == "none":
-            return np.zeros(grid.n)
+    def sample(self, x: NDArray[np.float64], species: ParticleSpecies) -> NDArray[np.float64]:
+        """V at the sample points x, in the active unit system's energy unit."""
         if self.kind == "uniform-field":
-            return self.slope * grid.x
+            return self.slope * x
         if self.kind == "harmonic":
-            return 0.5 * species.mass * self.omega**2 * grid.x**2
-        assert self.samples is not None
-        if self.samples.shape != (grid.n,):
-            raise ValidationError(
-                f"tabulated samples length {self.samples.shape} does not match grid n={grid.n}"
-            )
-        return self.samples.copy()
+            return 0.5 * species.mass * self.omega**2 * x**2
+        return np.zeros_like(x)
 
 
 def _normalized_packet(
@@ -319,10 +302,12 @@ def product_metastate(grid: Grid1D, psi: NDArray, time: float = 0.0) -> MetaStat
 def gaussian_product_metastate(
     grid: Grid1D, center: float, width: float, momentum: float, hbar: float = 1.0
 ) -> MetaState:
-    """Both copies in the same Gaussian packet; the only supported start.
+    """Both copies in the same Gaussian packet, on the n x n pair grid.
 
-    Asymmetric starts are not constructible here on purpose: the pair
-    dynamics assumes the two copies begin identical.
+    The start for the 2D engine; separated_product_state builds the same
+    state in separated form.  Asymmetric starts are not constructible
+    here on purpose: the pair dynamics assumes the two copies begin
+    identical.
     """
     psi = gaussian_wavepacket(grid, center, width, momentum, hbar)
     return product_metastate(grid, psi)
@@ -335,8 +320,9 @@ class SeparatedState:
     Psi(x_i, x~_j) = sum_k com[k, i + j] * rel[k, i - j + n]: com[k, s]
     sits at X_s = x_min + s dx / 2 and rel[k, m] at r_m = (m - n) dx, for
     s, m = 0 ... 2n - 1 (see separated_axes), so every pair grid point
-    lands exactly on a sample of both factors.  With no external field
-    the two factors evolve independently, one 1D problem each.  Both
+    lands exactly on a sample of both factors.  Under every external
+    potential kind the two factors evolve independently, one 1D problem
+    each.  Both
     arrays are complex (K, 2n), validated and marked read only.
     """
 

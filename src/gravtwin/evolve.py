@@ -6,16 +6,17 @@ One step is the symmetric composition
 
 with V = V_ext(x) + V_ext(x~) + V_pair(|x - x~|) applied pointwise in
 position space and the kinetic phase for both coordinates applied in one
-2D transform pass.  Second order in dt; exactly norm-preserving under
-periodic boundaries.
+2D transform pass.  Second order in dt; exactly norm-preserving on the
+periodic grid.
 
 There is one engine per type of state, each with one such step applied
 to a stack of channels.  A MetaState is stepped on the n x n pair grid.
 A SeparatedState is stepped as its centre of mass X = (x + x~)/2 (mass
-2m, free) and separation r = x - x~ (mass m/2, feeling V_pair(|r|)):
-with no external field the step above factorises exactly into one 1D
-step per coordinate, and the pair amplitude is gathered only at record
-points.
+2m, feeling 2 V_ext(X)) and separation r = x - x~ (mass m/2, feeling
+[V_ext(r) + V_ext(-r)] / 4 + V_pair(|r|)): every external kind is a
+polynomial of degree <= 2 with V_ext(0) = 0, so V above is exactly that
+sum and the step factorises into one 1D step per coordinate.  The pair
+amplitude is gathered only at record points.
 
 evolve runs the coupled step.  dyson_first_order runs the same engine's
 coupling-free step, with the coupling's derivative inserted around it,
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -74,9 +75,6 @@ def fft_workers() -> int:
 class EvolutionConfig:
     dt: float
     steps: int
-    boundary: str = "periodic"
-    mask_width: float = 0.125    # fraction of the domain per side, absorbing only
-    mask_strength: float = 1.0   # 1/time, absorbing only
     record_every: int = 1
 
     def __post_init__(self) -> None:
@@ -84,17 +82,6 @@ class EvolutionConfig:
             raise ValidationError(f"dt must be finite and > 0, got {self.dt!r}")
         if not (isinstance(self.steps, int) and self.steps >= 1):
             raise ValidationError(f"steps must be an integer >= 1, got {self.steps!r}")
-        if self.boundary not in ("periodic", "absorbing"):
-            raise ValidationError(f"unknown boundary {self.boundary!r}")
-        if self.boundary == "absorbing":
-            if not (0.0 < self.mask_width < 0.25):
-                raise ValidationError(
-                    f"mask_width must lie in (0, 0.25), got {self.mask_width!r}"
-                )
-            if not (math.isfinite(self.mask_strength) and self.mask_strength > 0):
-                raise ValidationError(
-                    f"mask_strength must be finite and > 0, got {self.mask_strength!r}"
-                )
         if not (isinstance(self.record_every, int) and self.record_every >= 1):
             raise ValidationError(
                 f"record_every must be an integer >= 1, got {self.record_every!r}"
@@ -118,15 +105,6 @@ class EvolutionRecord:
     norms: NDArray[np.float64]
     final_state: MetaState
     reduced_observables: Sequence[Any] | None = None  # one observer result per record
-    snapshots: Sequence[MetaState] | None = field(default=None, repr=False)
-
-
-def _absorber_1d(grid: Grid1D, width_fraction: float) -> NDArray[np.float64]:
-    """cos^2 absorption profile: 0 at the inner mask edge, 1 at the wall."""
-    w = width_fraction * grid.span
-    wall = np.minimum(grid.x - grid.x_min, grid.x_max - grid.x)
-    prof = np.where(wall < w, np.cos(0.5 * math.pi * wall / w) ** 2, 0.0)
-    return prof
 
 
 def _non_finite(arr: NDArray) -> int:
@@ -143,17 +121,13 @@ class _GridEngine:
         self.workers = fft_workers()
         self.state, self.pair = state, pair
         grid, hbar = state.grid, pair.units.hbar
-        v_ext = pot_ext.sample(grid, pair.species, pair.units)
+        v_ext = pot_ext.sample(grid.x, pair.species)
         v_diag = v_ext[:, None] + v_ext[None, :]
         if coupled:
             v_diag = v_diag + self.pair_samples()
         k2 = grid.momentum_grid**2
         self.half_v = np.exp(-0.5j * cfg.dt / hbar * v_diag)
         self.full_k = np.exp(-0.5j * hbar * cfg.dt / pair.species.mass * (k2[:, None] + k2[None, :]))
-        self.damp = None
-        if cfg.boundary == "absorbing":
-            d1 = np.exp(-cfg.mask_strength * cfg.dt * _absorber_1d(grid, cfg.mask_width))
-            self.damp = d1[:, None] * d1[None, :]
 
     def pair_samples(self) -> NDArray[np.float64]:
         """V_pair(|x - x~|) over the pair grid."""
@@ -172,8 +146,6 @@ class _GridEngine:
         z *= self.full_k
         z = sfft.ifft2(z, workers=self.workers, overwrite_x=True)
         z *= self.half_v
-        if self.damp is not None:
-            z *= self.damp
         return z
 
     def gather(self, z: NDArray[np.complex128], t: float) -> MetaState:
@@ -185,8 +157,9 @@ class _SeparatedEngine:
     """The separated engine: centre-of-mass factors in channel 0, separation factors after it.
 
     Each channel is (K, 2n).  X sits on 2n points at dx/2 with mass 2m and
-    is free; r sits on 2n points at dx with mass m/2 and alone feels
-    V_pair(|r|).
+    feels 2 V_ext(X); r sits on 2n points at dx with mass m/2 and feels
+    [V_ext(r) + V_ext(-r)] / 4, plus V_pair(|r|) when coupled.  A channel
+    whose potential is zero everywhere gets no phase at all.
     """
 
     def __init__(
@@ -196,7 +169,14 @@ class _SeparatedEngine:
         self.workers = fft_workers()
         self.state, self.pair = state, pair
         grid, hbar, mass = state.grid, pair.units.hbar, pair.species.mass
-        self.half_v = np.exp(-0.5j * cfg.dt / hbar * self.pair_samples()) if coupled else None
+        X, r = separated_axes(grid)
+        v_com = 2.0 * pot_ext.sample(X, pair.species)
+        v_rel = 0.25 * (pot_ext.sample(r, pair.species) + pot_ext.sample(-r, pair.species))
+        if coupled:
+            v_rel = v_rel + self.pair_samples()
+        self.half_com, self.half_rel = (
+            np.exp(-0.5j * cfg.dt / hbar * v) if np.any(v) else None for v in (v_com, v_rel)
+        )
         k_com = 2.0 * math.pi * sfft.fftfreq(2 * grid.n, d=0.5 * grid.dx)
         k_rel = 2.0 * math.pi * sfft.fftfreq(2 * grid.n, d=grid.dx)
         self.kin_com = np.exp(-0.5j * hbar * cfg.dt / (2.0 * mass) * k_com**2)
@@ -212,15 +192,19 @@ class _SeparatedEngine:
         z[0], z[1] = self.state.com, self.state.rel
         return z
 
+    def _half_phases(self, z: NDArray[np.complex128]) -> None:
+        if self.half_com is not None:
+            z[0] *= self.half_com
+        if self.half_rel is not None:
+            z[1:] *= self.half_rel
+
     def step(self, z: NDArray[np.complex128]) -> NDArray[np.complex128]:
-        if self.half_v is not None:
-            z[1:] *= self.half_v
+        self._half_phases(z)
         z = sfft.fft(z, workers=self.workers, overwrite_x=True)
         z[0] *= self.kin_com
         z[1:] *= self.kin_rel
         z = sfft.ifft(z, workers=self.workers, overwrite_x=True)
-        if self.half_v is not None:
-            z[1:] *= self.half_v
+        self._half_phases(z)
         return z
 
     def gather(self, z: NDArray[np.complex128], t: float) -> MetaState:
@@ -233,20 +217,9 @@ def _engine_for(
 ) -> tuple[type[_GridEngine] | type[_SeparatedEngine], MetaState]:
     """The engine for the state's type and the start on the pair grid, once the shared checks pass.
 
-    Only a field-free, periodic run keeps the centre of mass and the
-    separation apart; every start must be normalized and dt must pass
-    the CFL guard.
+    Every start must be normalized and dt must pass the CFL guard.
     """
     if isinstance(state, SeparatedState):
-        if pot_ext.kind != "none":
-            raise ValidationError(
-                f"a SeparatedState needs external potential kind 'none', got {pot_ext.kind!r}; "
-                "step its metastate() instead"
-            )
-        if cfg.boundary != "periodic":
-            raise ValidationError(
-                "a SeparatedState needs periodic boundaries; step its metastate() instead"
-            )
         engine, start = _SeparatedEngine, state.metastate()
     else:
         engine, start = _GridEngine, state
@@ -263,21 +236,17 @@ def evolve(
     pair: PairPotential,
     cfg: EvolutionConfig,
     observer: Callable[[MetaState], Any] | None = None,
-    keep_snapshots: bool = False,
 ) -> EvolutionRecord:
     """Propagate the pair state for cfg.steps steps of cfg.dt.
 
     The external potential acts identically on both coordinates; the
     pair potential couples them through the separation.  Amplitudes are
     checked for blow-up at every record point; non-finite values abort
-    the run with a step diagnostic.  With the absorbing boundary, each
-    step ends with the damping factor exp(-strength dt prof(x)) applied
-    in both coordinates (profile from _absorber_1d).
+    the run with a step diagnostic.
 
-    A SeparatedState is stepped by the separated engine, which needs
-    external kind none and periodic boundaries.  Its record points, the
-    observer, the snapshots and the final state see the gathered
-    MetaState; mass outside the n x n box is dropped there.
+    A SeparatedState is stepped by the separated engine.  Its record
+    points, the observer and the final state see the gathered MetaState;
+    mass outside the n x n box is dropped there.
     """
     build, start = _engine_for(state, pot_ext, pair, cfg)
     engine = build(state, pot_ext, pair, cfg, coupled=True)
@@ -286,7 +255,6 @@ def evolve(
     times: list[float] = []
     norms: list[float] = []
     observed: list[Any] = []
-    snaps: list[MetaState] = []
 
     def record(step: int, snap: MetaState | None = None) -> MetaState:
         t = state.time + step * cfg.dt
@@ -301,8 +269,6 @@ def evolve(
         norms.append(snap.norm())
         if observer is not None:
             observed.append(observer(snap))
-        if keep_snapshots:
-            snaps.append(snap)
         return snap
 
     last = record(0, start)
@@ -316,7 +282,6 @@ def evolve(
         norms=np.array(norms),
         final_state=last,
         reduced_observables=observed if observer is not None else None,
-        snapshots=snaps if keep_snapshots else None,
     )
 
 
@@ -349,13 +314,11 @@ def dyson_first_order(
     splitting mismatch is left over.  psi1 is linear in the coupling, so
     scaling G by a power of two scales psi1 by the same power, bit for
     bit.  The channels share one stacked transform pair per step.
-    Requires periodic boundaries and a perturbatively small coupling
-    (|V_pair(0)| steps dt / hbar < 0.1).  A SeparatedState also needs
-    external kind none; both channels are gathered at the end.
+    Requires a perturbatively small coupling (|V_pair(0)| steps dt /
+    hbar < 0.1).  For a SeparatedState both channels are gathered at
+    the end.
     """
     build = _engine_for(state0, pot_ext, pair, cfg)[0]  # the gathered start is not kept
-    if cfg.boundary != "periodic":
-        raise ValidationError("dyson_first_order requires periodic boundaries")
     hbar = pair.units.hbar
     action_est = abs(pair.evaluate(0.0)) * cfg.steps * cfg.dt / hbar
     if action_est >= 0.1:

@@ -28,6 +28,7 @@ class ReducedDensityMatrix:
     grid: Grid1D
     rho: NDArray[np.complex128] = field(repr=False)
     time: float = 0.0
+    hermiticity: float = field(init=False)  # max |rho - rho^H|, measured once when validated
 
     def __post_init__(self) -> None:
         r = np.array(self.rho, dtype=np.complex128, copy=True, order="C")
@@ -40,6 +41,7 @@ class ReducedDensityMatrix:
         herm = float(np.max(np.abs(r - r.conj().T)))
         if herm >= _HERMITICITY_TOL:
             raise ValidationError(f"rho is not Hermitian: max |rho - rho^H| = {herm:.3e}")
+        object.__setattr__(self, "hermiticity", herm)
         tr = float(np.trace(r).real) * self.grid.dx
         if abs(tr - 1.0) > _TRACE_TOL:
             raise ValidationError(f"rho trace {tr!r} deviates from 1 beyond {_TRACE_TOL}")
@@ -133,7 +135,6 @@ def structural_checks(state: MetaState, rho: ReducedDensityMatrix | None = None)
     """
     if rho is None:
         rho = partial_trace(state)
-    herm = float(np.max(np.abs(rho.rho - rho.rho.conj().T)))
     try:
         min_eig = float(rho.weights[0])
     except np.linalg.LinAlgError:
@@ -143,7 +144,7 @@ def structural_checks(state: MetaState, rho: ReducedDensityMatrix | None = None)
         "norm": norm,
         "norm_drift": abs(norm - 1.0),
         "exchange_asymmetry": state.exchange_asymmetry(),
-        "hermiticity": herm,
+        "hermiticity": rho.hermiticity,
         "trace_error": abs(rho.trace() - 1.0),
         "min_eigenvalue": min_eig,
     }

@@ -195,23 +195,19 @@ def test_metastate_shape_validation():
 def test_external_potential_kinds():
     g = make_grid(-4.0, 4.0, 64)
     sp = ParticleSpecies(mass=2.0, radius=1.0)
-    u = UnitSystem.dimensionless(g=1.0)
+    null = ExternalPotential.null()
+    lin = ExternalPotential.uniform_field(slope=3.0)
+    harm = ExternalPotential.harmonic(omega=1.5)
 
-    assert np.all(ExternalPotential.null().sample(g, sp, u) == 0.0)
-
-    v_lin = ExternalPotential.uniform_field(slope=3.0).sample(g, sp, u)
-    np.testing.assert_allclose(v_lin, 3.0 * g.x, rtol=1e-15)
-
-    v_h = ExternalPotential.harmonic(omega=1.5).sample(g, sp, u)
-    np.testing.assert_allclose(v_h, 0.5 * 2.0 * 1.5**2 * g.x**2, rtol=1e-15)
-
-    tab = ExternalPotential.tabulated(np.ones(64))
-    np.testing.assert_allclose(tab.sample(g, sp, u), 1.0)
-
-
-def test_tabulated_length_mismatch():
-    g = make_grid(-4.0, 4.0, 64)
-    sp = ParticleSpecies(mass=1.0, radius=1.0)
-    u = UnitSystem.dimensionless(g=1.0)
+    assert np.all(null.sample(g.x, sp) == 0.0)
+    np.testing.assert_allclose(lin.sample(g.x, sp), 3.0 * g.x, rtol=1e-15)
+    np.testing.assert_allclose(harm.sample(g.x, sp), 0.5 * 2.0 * 1.5**2 * g.x**2, rtol=1e-15)
     with pytest.raises(ValidationError):
-        ExternalPotential.tabulated(np.ones(32)).sample(g, sp, u)
+        ExternalPotential(kind="tabulated")
+
+    # V(x) + V(x~) = 2 V(X) + [V(r) + V(-r)] / 4, the split the separated engine steps
+    x, xt = np.meshgrid(g.x, g.x, indexing="ij")
+    for pot in (null, lin, harm):
+        lhs = pot.sample(x, sp) + pot.sample(xt, sp)
+        rhs = 2.0 * pot.sample(0.5 * (x + xt), sp) + 0.25 * (pot.sample(x - xt, sp) + pot.sample(xt - x, sp))
+        np.testing.assert_allclose(lhs, rhs, rtol=1e-14, atol=1e-13)

@@ -51,12 +51,6 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         EvolutionConfig(dt=1e-3, steps=0)
     with pytest.raises(ValidationError):
-        EvolutionConfig(dt=1e-3, steps=10, boundary="hard-wall")
-    with pytest.raises(ValidationError):
-        EvolutionConfig(dt=1e-3, steps=10, boundary="absorbing", mask_width=0.3)
-    with pytest.raises(ValidationError):
-        EvolutionConfig(dt=1e-3, steps=10, boundary="absorbing", mask_width=0.0)
-    with pytest.raises(ValidationError):
         EvolutionConfig(dt=1e-3, steps=10, record_every=0)
 
 
@@ -105,17 +99,19 @@ def test_free_spreading_law():
 
 
 def test_harmonic_center_oscillation():
-    """Ehrenfest check: <x>(t) = x0 cos(t) for a displaced packet, omega = 1."""
+    """Ehrenfest check: <x>(t) = x0 cos(t) for a displaced packet, omega = 1, on either engine."""
     units, grid, pair = setup(n=128, half_span=10.0)
-    st = gaussian_product_metastate(grid, 1.0, 1.0 / math.sqrt(2.0), 0.0)
+    width = 1.0 / math.sqrt(2.0)
     period = 2.0 * math.pi
     steps = 2000
     cfg = EvolutionConfig(dt=period / steps, steps=steps, record_every=100)
-    rec = evolve(st, ExternalPotential.harmonic(omega=1.0), pair, cfg,
-                 observer=lambda s: {"mean": moments(s)[0]})
-    mean = np.array([o["mean"] for o in rec.reduced_observables])
-    np.testing.assert_allclose(mean, np.cos(rec.times), atol=1e-4)
-    np.testing.assert_allclose(mean[-1], 1.0, atol=1e-4)
+    for st in (gaussian_product_metastate(grid, 1.0, width, 0.0),
+               separated_product_state(grid, (1.0,), width, 0.0)):
+        rec = evolve(st, ExternalPotential.harmonic(omega=1.0), pair, cfg,
+                     observer=lambda s: {"mean": moments(s)[0]})
+        mean = np.array([o["mean"] for o in rec.reduced_observables])
+        np.testing.assert_allclose(mean, np.cos(rec.times), atol=1e-4)
+        np.testing.assert_allclose(mean[-1], 1.0, atol=1e-4)
 
 
 def test_exchange_symmetry_preserved():
@@ -141,20 +137,20 @@ def test_splitting_order_is_two():
     """Error against a dt/4 reference: ratio e1/e2 pins the order.
 
     With errors C dt^p against the dt/4 run, e1/e2 = (4^p - 1)/(4^p/2^p - 1),
-    so p = log2(e1/e2 - 1).  Strang should land in [1.8, 2.2].
+    so p = log2(e1/e2 - 1).  Strang should land in [1.8, 2.2] on either engine.
     """
     units, grid, pair = setup(g=0.8)
-    st = gaussian_product_metastate(grid, 0.5, 0.7, 0.0)
     pot = ExternalPotential.harmonic(omega=1.0)
-    T = 0.1
-    finals = {}
-    for div in (1, 2, 4):
-        cfg = EvolutionConfig(dt=1e-3 / div, steps=100 * div)
-        finals[div] = evolve(st, pot, pair, cfg).final_state.amplitudes
-    e1 = np.linalg.norm(finals[1] - finals[4])
-    e2 = np.linalg.norm(finals[2] - finals[4])
-    p = math.log2(e1 / e2 - 1.0)
-    assert 1.8 < p < 2.2
+    for st in (gaussian_product_metastate(grid, 0.5, 0.7, 0.0),
+               separated_product_state(grid, (0.5,), 0.7, 0.0)):
+        finals = {}
+        for div in (1, 2, 4):
+            cfg = EvolutionConfig(dt=1e-3 / div, steps=100 * div)
+            finals[div] = evolve(st, pot, pair, cfg).final_state.amplitudes
+        e1 = np.linalg.norm(finals[1] - finals[4])
+        e2 = np.linalg.norm(finals[2] - finals[4])
+        p = math.log2(e1 / e2 - 1.0)
+        assert 1.8 < p < 2.2
 
 
 def test_record_points():
@@ -164,27 +160,7 @@ def test_record_points():
                  EvolutionConfig(dt=1e-3, steps=95, record_every=30))
     np.testing.assert_allclose(rec.times, np.array([0, 30, 60, 90, 95]) * 1e-3, rtol=1e-12)
     assert rec.final_state.time == rec.times[-1]
-    assert rec.snapshots is None and rec.reduced_observables is None
-
-
-def test_snapshots_kept_on_request():
-    units, grid, pair = setup()
-    st = gaussian_product_metastate(grid, 0.0, 0.6, 0.0)
-    rec = evolve(st, ExternalPotential.null(), pair,
-                 EvolutionConfig(dt=1e-3, steps=40, record_every=20),
-                 keep_snapshots=True)
-    assert len(rec.snapshots) == 3
-    assert rec.snapshots[0].time == 0.0
-
-
-def test_absorbing_boundary_drains_norm():
-    units, grid, pair = setup(n=128, half_span=8.0)
-    st = gaussian_product_metastate(grid, 0.0, 0.6, 4.0)
-    cfg = EvolutionConfig(dt=2e-3, steps=900, boundary="absorbing",
-                          mask_width=0.125, mask_strength=5.0, record_every=50)
-    rec = evolve(st, ExternalPotential.null(), pair, cfg)
-    assert np.all(np.diff(rec.norms) <= 1e-12)
-    assert rec.norms[-1] < 0.99
+    assert rec.reduced_observables is None
 
 
 def test_nan_abort_with_diagnostic():
@@ -215,6 +191,7 @@ def test_dyson_zeroth_channel_matches_free_run():
     starts = (
         (gaussian_product_metastate(grid, 0.0, 0.7, 0.5), ExternalPotential.harmonic(omega=1.0)),
         (separated_product_state(grid, (-1.5, 1.5), 0.7, 0.5), ExternalPotential.null()),
+        (separated_product_state(grid, (-1.5, 1.5), 0.7, 0.5), ExternalPotential.harmonic(omega=1.0)),
     )
     for st, pot in starts:
         psi0, _ = dyson_first_order(st, pot, pair, cfg)
@@ -249,7 +226,7 @@ def dyson_midpoint_reference(state0, pot_ext, pair, cfg):
     """
     grid = state0.grid
     hbar = pair.units.hbar
-    v_ext = pot_ext.sample(grid, pair.species, pair.units)
+    v_ext = pot_ext.sample(grid.x, pair.species)
     v_pair = pair.evaluate_on_grid(grid)
     k2 = grid.momentum_grid**2
     k_diag = k2[:, None] + k2[None, :]
@@ -277,13 +254,15 @@ EXTERNALS = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(EXTERNALS) + ["separated"])
+@pytest.mark.parametrize(
+    "kind", sorted(EXTERNALS) + ["separated", "separated-harmonic", "separated-uniform-field"]
+)
 def test_dyson_is_derivative_of_strang_step(kind):
     """psi1 against a Richardson forward difference in g of evolve, on either engine."""
     g = 0.5
     units, grid, pair = setup(g=g)
-    if kind == "separated":
-        pot = ExternalPotential.null()
+    if kind.startswith("separated"):
+        pot = EXTERNALS[kind.partition("-")[2] or "none"][0]
         st = separated_product_state(grid, (-1.5, 1.5), 0.7, 0.5)
     else:
         pot, center, momentum = EXTERNALS[kind]
@@ -357,20 +336,19 @@ def test_dyson_precondition_guard():
                           EvolutionConfig(dt=2e-3, steps=500))
 
 
-def test_dyson_rejects_absorbing_boundary():
-    units, grid, pair = setup(g=0.1)
-    st = gaussian_product_metastate(grid, 0.0, 0.7, 0.0)
-    cfg = EvolutionConfig(dt=1e-3, steps=10, boundary="absorbing")
-    with pytest.raises(ValidationError):
-        dyson_first_order(st, ExternalPotential.null(), pair, cfg)
-
-
 # --- separated centre-of-mass / separation engine ----------------------------
 
 SEPARATED_CASES = {
     "two-packets-at-rest": ((-2.0, 2.0), 0.0),
     "two-packets-moving": ((-2.0, 2.0), 0.5),
     "one-packet": ((0.0,), 1.0),
+}
+
+# (start, external kind) pairs for the engine agreement test, by test id.
+AGREEMENT_CASES = {
+    **{case: (case, "none") for case in SEPARATED_CASES},
+    "harmonic-two-packets-moving": ("two-packets-moving", "harmonic"),
+    "uniform-field-two-packets-at-rest": ("two-packets-at-rest", "uniform-field"),
 }
 
 
@@ -391,20 +369,21 @@ def test_separated_builder_gathers_to_product_state(case):
     assert sep.com.shape == sep.rel.shape == (len(centers) * (len(centers) + 1) // 2, 512)
 
 
-@pytest.mark.parametrize("case", sorted(SEPARATED_CASES))
+@pytest.mark.parametrize("case", sorted(AGREEMENT_CASES))
 def test_separated_engine_agrees_with_2d_engine(case):
     """The 2D engine is the oracle; they differ only at the band edge and the seam."""
-    centers, momentum = SEPARATED_CASES[case]
+    start, kind = AGREEMENT_CASES[case]
+    centers, momentum = SEPARATED_CASES[start]
+    pot = EXTERNALS[kind][0]
     units, grid, pair = setup(g=1.0 / 3.0, n=256, half_span=16.0)
     sep = separated_product_state(grid, centers, 0.7, momentum)
     ref = product_oracle(grid, centers, 0.7, momentum)
     cfg = EvolutionConfig(dt=5e-4, steps=200, record_every=200)
-    null = ExternalPotential.null()
-    full = evolve(sep, null, pair, cfg).final_state
-    full_ref = evolve(ref, null, pair, cfg).final_state
+    full = evolve(sep, pot, pair, cfg).final_state
+    full_ref = evolve(ref, pot, pair, cfg).final_state
     assert np.max(np.abs(full.amplitudes - full_ref.amplitudes)) <= 5e-9
-    psi0, psi1 = dyson_first_order(sep, null, pair, cfg)
-    ref0, ref1 = dyson_first_order(ref, null, pair, cfg)
+    psi0, psi1 = dyson_first_order(sep, pot, pair, cfg)
+    ref0, ref1 = dyson_first_order(ref, pot, pair, cfg)
     assert np.max(np.abs(psi0.amplitudes - ref0.amplitudes)) <= 1e-12
     assert np.max(np.abs(psi1.amplitudes - ref1.amplitudes)) <= 5e-9
     assert full.time == full_ref.time == psi1.time
@@ -429,19 +408,6 @@ def test_separated_free_pair_matches_closed_form():
     exact = np.outer(psi, psi)
     assert abs(rec.final_state.time - t_end) < 1e-12
     assert np.max(np.abs(rec.final_state.amplitudes - exact)) <= 1e-12
-
-
-def test_separated_state_rejects_unseparable_runs():
-    units, grid, pair = setup(g=0.1)
-    sep = separated_product_state(grid, (0.0,), 0.7, 0.0)
-    periodic = EvolutionConfig(dt=1e-3, steps=10)
-    absorbing = EvolutionConfig(dt=1e-3, steps=10, boundary="absorbing")
-    harmonic = ExternalPotential.harmonic(omega=1.0)
-    for pot, cfg in ((harmonic, periodic), (ExternalPotential.null(), absorbing)):
-        with pytest.raises(ValidationError):
-            evolve(sep, pot, pair, cfg)
-        with pytest.raises(ValidationError):
-            dyson_first_order(sep, pot, pair, cfg)
 
 
 def test_separated_state_validation():

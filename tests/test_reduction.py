@@ -79,7 +79,10 @@ def test_rho_constructor_guards():
     ok = np.eye(64) / (64 * g.dx)
     from gravtwin import ReducedDensityMatrix
 
-    ReducedDensityMatrix(grid=g, rho=ok)
+    assert ReducedDensityMatrix(grid=g, rho=ok).hermiticity == 0.0
+    tiny = ok.astype(complex)
+    tiny[0, 1] = 1e-12  # below the tolerance: accepted, and the defect is kept
+    assert ReducedDensityMatrix(grid=g, rho=tiny).hermiticity == 1e-12
 
     skew = ok.astype(complex).copy()
     skew[0, 1] = 1e-6
@@ -156,6 +159,7 @@ def test_structural_checks_healthy_state():
     rho = partial_trace(st)
     again = structural_checks(st, rho)
     assert again["trace_error"] == checks["trace_error"]
+    assert again["hermiticity"] == checks["hermiticity"] == rho.hermiticity
 
 
 def test_report_position_density_is_diag():
