@@ -8,6 +8,7 @@ results, only speed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -70,6 +71,8 @@ def _parse_sweep(text: str) -> tuple[float, float, int]:
         start, stop, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ConfigError(f"--delta-sweep expects numbers START:STOP:N, got {text!r}") from None
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigError(f"--delta-sweep needs finite START and STOP, got {text!r}")
     if n < 2:
         raise ConfigError(f"--delta-sweep needs at least 2 points, got {n}")
     if not stop > start:
@@ -89,8 +92,8 @@ def _cmd_potential(args) -> int:
     pair = PairPotential(species=species, units=UnitSystem.si())
     if args.samples < 2:
         raise ConfigError(f"--samples must be >= 2, got {args.samples}")
-    if args.r_max <= 0:
-        raise ConfigError(f"--r-max must be > 0, got {args.r_max}")
+    if not (math.isfinite(args.r_max) and args.r_max > 0):
+        raise ConfigError(f"--r-max must be finite and > 0, got {args.r_max}")
     r = np.linspace(0.0, args.r_max, args.samples)
     Path(args.out).write_bytes(csv_bytes(("r", "V_G"), zip(r, pair.evaluate(r))))
     print(f"wrote {args.samples} samples to {args.out}")

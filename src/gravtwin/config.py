@@ -4,12 +4,14 @@ Grammar: one `key = value` pair per line; blank lines and everything
 after a # are ignored; keys are lowercase dotted names.  Every key must
 belong to the schema of the chosen scenario; unknown keys are errors,
 not warnings, so a typo cannot silently fall back to a default.  Values
-are floats, integers, bare words, or comma-separated float lists.
+are floats, integers, bare words, or comma-separated float lists.  Each
+schema entry carries its key's type, default and range, checked as the
+value is read; only the rules that tie keys together are checked after.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .core import (
@@ -48,16 +50,25 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class _Key:
+    """One config key: its type, its default, and the range of its values."""
+
     typ: str                     # float | int | word | floatlist
     default: object              # None marks "computed later" (report.d_cut)
-    choices: tuple[str, ...] | None = None
+    choices: tuple[str, ...] | None = None   # word: the allowed words
+    positive: bool = False       # float, floatlist: every value > 0
+    low: float = -math.inf       # int: the value lies in [low, high]
+    high: float = math.inf
+
+
+def _positive(default: float) -> _Key:
+    return _Key("float", default, positive=True)
 
 
 def _evolution_keys(dt: float, steps: int, record_every: int) -> dict[str, _Key]:
     return {
-        "evolution.dt": _Key("float", dt),
-        "evolution.steps": _Key("int", steps),
-        "evolution.record_every": _Key("int", record_every),
+        "evolution.dt": _positive(dt),
+        "evolution.steps": _Key("int", steps, low=1),
+        "evolution.record_every": _Key("int", record_every, low=1),
     }
 
 
@@ -65,13 +76,13 @@ def _grid_keys(x_min: float, x_max: float, n: int) -> dict[str, _Key]:
     return {
         "grid.x_min": _Key("float", x_min),
         "grid.x_max": _Key("float", x_max),
-        "grid.n": _Key("int", n),
+        "grid.n": _Key("int", n, low=8),
     }
 
 
 _SPECIES_KEYS = {
-    "species.mass": _Key("float", 1.0),
-    "species.radius": _Key("float", 1.0),
+    "species.mass": _positive(1.0),
+    "species.radius": _positive(1.0),
 }
 
 _COMMON = {
@@ -83,65 +94,73 @@ SCHEMAS: dict[str, dict[str, _Key]] = {
         **_COMMON,
         **_SPECIES_KEYS,
         "coupling.g": _Key("float", 1.0),
-        "potential.r_max": _Key("float", 10.0),
-        "potential.samples": _Key("int", 4096),
+        "potential.r_max": _positive(10.0),
+        "potential.samples": _Key("int", 4096, low=2),
     },
     "free-check": {
         **_COMMON,
-        **_SPECIES_KEYS,
+        "species.mass": _positive(1.0),
         **_grid_keys(-20.0, 20.0, 512),
-        "packet.width": _Key("float", 0.5),
+        "packet.width": _positive(0.5),
         "packet.center": _Key("float", 0.0),
         "packet.momentum": _Key("float", 0.0),
         # dt = doubling time / steps; doubling time is sqrt(3) 2 m w^2 / hbar.
         **_evolution_keys(math.sqrt(3.0) * 2.0 * 0.25 / 1000.0, 1000, 100),
-        "report.d_cut": _Key("float", None),
+        "report.d_cut": _positive(None),
     },
     "two-packet-decoherence": {
         **_COMMON,
         **_SPECIES_KEYS,
         **_grid_keys(-16.0, 16.0, 512),
-        "packet.width": _Key("float", 0.7),
-        "packet.separation": _Key("float", 8.0),
+        "packet.width": _positive(0.7),
+        "packet.separation": _positive(8.0),
         "packet.momentum": _Key("float", 0.0),
-        "coupling.g": _Key("float", 0.5),  # documented demonstration coupling
-        "scan.couplings": _Key("floatlist", (0.125, 0.25, 0.5)),
+        "coupling.g": _positive(0.5),  # documented demonstration coupling
+        "scan.couplings": _Key("floatlist", (0.125, 0.25, 0.5), positive=True),
         **_evolution_keys(5e-4, 2000, 50),
-        "report.d_cut": _Key("float", None),
+        "report.d_cut": _positive(None),
     },
     "perturbative-crosscheck": {
         **_COMMON,
         **_SPECIES_KEYS,
         **_grid_keys(-16.0, 16.0, 512),
-        "packet.width": _Key("float", 0.7),
-        "packet.separation": _Key("float", 4.0),
+        "packet.width": _positive(0.7),
+        "packet.separation": _positive(4.0),
         "packet.momentum": _Key("float", 0.0),
-        "coupling.g": _Key("float", 1.0 / 3.0),
-        "dyson.halvings": _Key("int", 1),
+        "coupling.g": _positive(1.0 / 3.0),
+        "dyson.halvings": _Key("int", 1, low=1, high=6),
         **_evolution_keys(5e-4, 500, 100),
     },
     "cow-sweep": {
         **_COMMON,
         "cow.preset": _Key("word", "neutron", ("neutron", "custom")),
-        **{key: _Key("float", value) for key, value in _NEUTRON_GEOMETRY.items()},
+        **{key: _positive(value) for key, value in _NEUTRON_GEOMETRY.items()},
         "cow.delta_start": _Key("float", 0.0),
         "cow.delta_stop": _Key("float", _DELTA_STOP_DEFAULT),
-        "cow.delta_points": _Key("int", 1000),
+        "cow.delta_points": _Key("int", 1000, low=2),
     },
 }
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """A fully resolved, validated scenario description."""
+    """A fully resolved, validated scenario description.
+
+    values holds every key of the scenario's schema under its config name,
+    typed and in range; grid and evolution are built for the grid scenarios.
+    """
 
     scenario: str
     units: UnitSystem
     species: ParticleSpecies
+    values: dict[str, object]
     grid: Grid1D | None = None
     evolution: EvolutionConfig | None = None
-    params: dict[str, object] = field(default_factory=dict)
-    resolved: dict[str, str] = field(default_factory=dict)
+
+    @property
+    def resolved(self) -> dict[str, str]:
+        """Every value as its canonical string: the config the manifest records."""
+        return {key: _canonical(value) for key, value in self.values.items()}
 
 
 def _parse_lines(text: str, source: str) -> dict[str, str]:
@@ -162,34 +181,36 @@ def _parse_lines(text: str, source: str) -> dict[str, str]:
 
 
 def _coerce(key: str, spec: _Key, text: str):
-    if spec.typ == "float":
-        try:
-            v = float(text)
-        except ValueError:
-            raise ConfigError(f"{key}: expected a number, got {text!r}") from None
-        if not math.isfinite(v):
-            raise ConfigError(f"{key}: must be finite, got {text!r}")
-        return v
-    if spec.typ == "int":
-        try:
-            return int(text)
-        except ValueError:
-            raise ConfigError(f"{key}: expected an integer, got {text!r}") from None
+    """The typed value of one key, checked against the key's own range."""
     if spec.typ == "word":
         if spec.choices is not None and text not in spec.choices:
             raise ConfigError(
                 f"{key}: must be one of {', '.join(spec.choices)}; got {text!r}"
             )
         return text
-    if spec.typ == "floatlist":
+    if spec.typ == "int":
         try:
-            vals = tuple(float(part) for part in text.split(","))
+            value = int(text)
         except ValueError:
-            raise ConfigError(f"{key}: expected comma-separated numbers, got {text!r}") from None
-        if not vals or not all(math.isfinite(v) for v in vals):
-            raise ConfigError(f"{key}: needs at least one finite number")
-        return vals
-    raise AssertionError(spec.typ)
+            raise ConfigError(f"{key}: expected an integer, got {text!r}") from None
+        if not spec.low <= value <= spec.high:
+            span = f">= {spec.low}" if spec.high == math.inf else f"in [{spec.low}, {spec.high}]"
+            raise ConfigError(f"{key}: must be an integer {span}, got {value!r}")
+        return value
+    try:
+        if spec.typ == "float":
+            value = float(text)
+            numbers = (value,)
+        else:
+            value = numbers = tuple(float(part) for part in text.split(","))
+    except ValueError:
+        what = "a number" if spec.typ == "float" else "comma-separated numbers"
+        raise ConfigError(f"{key}: expected {what}, got {text!r}") from None
+    if not all(map(math.isfinite, numbers)):
+        raise ConfigError(f"{key}: must be finite, got {text!r}")
+    if spec.positive and not all(v > 0 for v in numbers):
+        raise ConfigError(f"{key}: must be > 0, got {value!r}")
+    return value
 
 
 def _canonical(value: object) -> str:
@@ -229,22 +250,16 @@ def load_config(path: str | Path) -> ScenarioConfig:
     # An unreadable file is an I/O failure, not a validation failure;
     # let the OSError propagate so the CLI maps it to its own exit code.
     p = Path(path)
-    text = p.read_text()
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{p}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     return parse_config(text, source=str(p))
 
 
-def _positive(values: dict[str, object], key: str) -> float:
-    v = values[key]
-    if not (isinstance(v, (int, float)) and v > 0):
-        raise ConfigError(f"{key}: must be > 0, got {v!r}")
-    return float(v)
-
-
 def _build(scenario: str, values: dict[str, object]) -> ScenarioConfig:
-    params: dict[str, object] = {}
-
+    """The config from typed, in-range values; the rules that tie keys together live here."""
     if scenario == "cow-sweep":
-        units = UnitSystem.si()
         if values["cow.preset"] == "neutron":
             # The four geometry keys may not fight the preset.
             for key, default in _NEUTRON_GEOMETRY.items():
@@ -253,128 +268,50 @@ def _build(scenario: str, values: dict[str, object]) -> ScenarioConfig:
                         f"{key}: conflicts with cow.preset = neutron; "
                         "set cow.preset = custom to override the geometry"
                     )
-        species = ParticleSpecies(
-            mass=_positive(values, "cow.mass"), radius=_positive(values, "cow.radius")
-        )
-        start = float(values["cow.delta_start"])
-        stop = float(values["cow.delta_stop"])
-        npts = values["cow.delta_points"]
-        if not (isinstance(npts, int) and npts >= 2):
-            raise ConfigError(f"cow.delta_points: must be an integer >= 2, got {npts!r}")
+        start, stop = values["cow.delta_start"], values["cow.delta_stop"]
         if not stop > start:
             raise ConfigError(
                 f"cow.delta_stop: must exceed cow.delta_start ({stop!r} <= {start!r})"
             )
-        params.update(
-            L=_positive(values, "cow.L"),
-            v=_positive(values, "cow.v"),
-            delta_start=start,
-            delta_stop=stop,
-            delta_points=npts,
-        )
-        return ScenarioConfig(
-            scenario=scenario,
-            units=units,
-            species=species,
-            params=params,
-            resolved={k: _canonical(v) for k, v in values.items()},
-        )
+        species = ParticleSpecies(mass=values["cow.mass"], radius=values["cow.radius"])
+        return ScenarioConfig(scenario, UnitSystem.si(), species, values)
 
-    g = float(values["coupling.g"]) if "coupling.g" in values else 0.0
+    g = values.get("coupling.g", 0.0)
     if g < 0:
         raise ConfigError(f"coupling.g: must be >= 0, got {g!r}")
     units = UnitSystem.dimensionless(g)
-    try:
-        species = ParticleSpecies(
-            mass=float(values["species.mass"]), radius=float(values["species.radius"])
-        )
-    except ValidationError as exc:
-        raise ConfigError(f"species: {exc}") from None
-
+    # free-check runs at G = 0, where the radius has no effect: it stays the unit length.
+    species = ParticleSpecies(mass=values["species.mass"], radius=values.get("species.radius", 1.0))
     if scenario == "potential-scan":
-        samples = values["potential.samples"]
-        if not (isinstance(samples, int) and samples >= 2):
-            raise ConfigError(f"potential.samples: must be an integer >= 2, got {samples!r}")
-        params.update(r_max=_positive(values, "potential.r_max"), samples=samples)
-        return ScenarioConfig(
-            scenario=scenario,
-            units=units,
-            species=species,
-            params=params,
-            resolved={k: _canonical(v) for k, v in values.items()},
-        )
+        return ScenarioConfig(scenario, units, species, values)
 
+    x_min, x_max = values["grid.x_min"], values["grid.x_max"]
     try:
-        grid = make_grid(
-            float(values["grid.x_min"]), float(values["grid.x_max"]), values["grid.n"]
-        )
+        grid = make_grid(x_min, x_max, values["grid.n"])
     except ValidationError as exc:
-        raise ConfigError(f"grid: {exc}") from None
-
-    for key in ("evolution.steps", "evolution.record_every"):
-        count = values[key]
-        if not (isinstance(count, int) and count >= 1):
-            raise ConfigError(f"{key}: must be an integer >= 1, got {count!r}")
+        raise ConfigError(f"{'grid.x_max' if x_max <= x_min else 'grid.n'}: {exc}") from None
+    evolution = EvolutionConfig(
+        dt=values["evolution.dt"],
+        steps=values["evolution.steps"],
+        record_every=values["evolution.record_every"],
+    )
     try:
-        evolution = EvolutionConfig(
-            dt=float(values["evolution.dt"]),
-            steps=values["evolution.steps"],
-            record_every=values["evolution.record_every"],
-        )
         evolution.check_stability(grid, species.mass, units.hbar)
-    except ValidationError as exc:  # CFLViolation included; the counts passed above
+    except ValidationError as exc:
         raise ConfigError(f"evolution.dt: {exc}") from None
 
-    width = _positive(values, "packet.width")
+    width = values["packet.width"]
     if width <= 2.0 * grid.dx:
         raise ConfigError(
             f"packet.width: {width!r} under-resolved on this grid (need > {2.0 * grid.dx})"
         )
-    params["width"] = width
-    params["momentum"] = float(values["packet.momentum"])
-
-    if scenario == "free-check":
-        params["center"] = float(values["packet.center"])
-    else:
-        sep = _positive(values, "packet.separation")
-        if sep <= 2.0 * width:
-            raise ConfigError(
-                f"packet.separation: {sep!r} too small; packets overlap (need > {2.0 * width})"
-            )
-        params["separation"] = sep
-
-    if "report.d_cut" in values:
-        d_cut = values["report.d_cut"]
-        if d_cut is None:
-            d_cut = 4.0 * width  # default band: four initial packet widths
-        elif not (isinstance(d_cut, float) and d_cut > 0):
-            raise ConfigError(f"report.d_cut: must be > 0, got {d_cut!r}")
-        params["d_cut"] = float(d_cut)
-        values["report.d_cut"] = float(d_cut)
-
-    if scenario == "two-packet-decoherence":
-        couplings = tuple(sorted(values["scan.couplings"]))
-        if any(c <= 0 for c in couplings):
-            raise ConfigError(f"scan.couplings: all couplings must be > 0, got {couplings!r}")
-        if g <= 0:
-            raise ConfigError(f"coupling.g: demonstration coupling must be > 0, got {g!r}")
-        params["couplings"] = couplings
-        values["scan.couplings"] = couplings
-
-    if scenario == "perturbative-crosscheck":
-        halvings = values["dyson.halvings"]
-        if not (isinstance(halvings, int) and 1 <= halvings <= 6):
-            raise ConfigError(f"dyson.halvings: must be an integer in [1, 6], got {halvings!r}")
-        if g <= 0:
-            raise ConfigError(f"coupling.g: must be > 0 for the crosscheck, got {g!r}")
-        params["halvings"] = halvings
-
-    return ScenarioConfig(
-        scenario=scenario,
-        units=units,
-        species=species,
-        grid=grid,
-        evolution=evolution,
-        params=params,
-        resolved={k: _canonical(v) for k, v in values.items()},
-    )
+    if "packet.separation" in values and values["packet.separation"] <= 2.0 * width:
+        raise ConfigError(
+            f"packet.separation: {values['packet.separation']!r} too small; "
+            f"packets overlap (need > {2.0 * width})"
+        )
+    if "report.d_cut" in values and values["report.d_cut"] is None:
+        values["report.d_cut"] = 4.0 * width  # default band: four initial packet widths
+    if "scan.couplings" in values:
+        values["scan.couplings"] = tuple(sorted(values["scan.couplings"]))
+    return ScenarioConfig(scenario, units, species, values, grid, evolution)

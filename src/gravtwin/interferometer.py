@@ -22,7 +22,7 @@ import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
-from .core import HBAR_SI, NEWTON_G_SI, ParticleSpecies, UnitSystem, ValidationError
+from .core import ParticleSpecies, UnitSystem, ValidationError
 from .potential import PairPotential
 
 
@@ -277,7 +277,7 @@ def cow_neutron_preset(delta: float = 0.0) -> InterferometerConfig:
         L=0.10,
         v=2.2e3,
         delta=delta,
-        units=UnitSystem(hbar=HBAR_SI, G=NEWTON_G_SI, mode="SI"),
+        units=UnitSystem.si(),
     )
 
 

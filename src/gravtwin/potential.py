@@ -37,13 +37,6 @@ class SeparatingAction:
     closed_form: float
     quadrature: float
 
-    @property
-    def value(self) -> float:
-        return self.closed_form
-
-    def __float__(self) -> float:
-        return self.closed_form
-
 
 @dataclass(frozen=True)
 class PairPotential:

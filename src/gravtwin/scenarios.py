@@ -146,8 +146,11 @@ def _timeseries_rows(times, observed: Sequence[_Observation]):
         yield (t, o.checks["norm"], r.purity, r.linear_entropy, r.von_neumann_entropy, r.coherence_offdiag)
 
 
-def _two_packet_state(grid: Grid1D, width: float, separation: float, momentum: float) -> SeparatedState:
-    return separated_product_state(grid, (-0.5 * separation, 0.5 * separation), width, momentum)
+def _two_packet_state(cfg: ScenarioConfig) -> SeparatedState:
+    half = 0.5 * cfg.values["packet.separation"]
+    return separated_product_state(
+        cfg.grid, (-half, half), cfg.values["packet.width"], cfg.values["packet.momentum"]
+    )
 
 
 def _density_moments(grid: Grid1D, density: NDArray) -> tuple[float, float]:
@@ -162,8 +165,7 @@ def _density_moments(grid: Grid1D, density: NDArray) -> tuple[float, float]:
 
 def _run_potential_scan(cfg: ScenarioConfig, emit: _Emitter) -> dict:
     pair = PairPotential(species=cfg.species, units=cfg.units)
-    r_max = float(cfg.params["r_max"])
-    r = np.linspace(0.0, r_max, int(cfg.params["samples"]))
+    r = np.linspace(0.0, cfg.values["potential.r_max"], cfg.values["potential.samples"])
     vals = pair.evaluate(r)
     emit.emit("potential.csv", csv_bytes(("r", "V_G"), zip(r, vals)))
 
@@ -187,13 +189,13 @@ def _run_potential_scan(cfg: ScenarioConfig, emit: _Emitter) -> dict:
 def _run_free_check(cfg: ScenarioConfig, emit: _Emitter) -> dict:
     assert cfg.grid is not None and cfg.evolution is not None
     grid = cfg.grid
-    width = float(cfg.params["width"])
-    center = float(cfg.params["center"])
-    momentum = float(cfg.params["momentum"])
+    width = cfg.values["packet.width"]
+    center = cfg.values["packet.center"]
+    momentum = cfg.values["packet.momentum"]
     state = separated_product_state(grid, (center,), width, momentum, hbar=cfg.units.hbar)
     pair = PairPotential(species=cfg.species, units=cfg.units)  # G = 0 here
 
-    observer = _full_observer(float(cfg.params["d_cut"]))
+    observer = _full_observer(cfg.values["report.d_cut"])
     record = evolve(state, ExternalPotential.null(), pair, cfg.evolution, observer=observer)
     observed = record.reduced_observables
     assert observed is not None
@@ -236,14 +238,11 @@ def _run_free_check(cfg: ScenarioConfig, emit: _Emitter) -> dict:
 def _run_two_packet(cfg: ScenarioConfig, emit: _Emitter) -> dict:
     assert cfg.grid is not None and cfg.evolution is not None
     grid = cfg.grid
-    width = float(cfg.params["width"])
-    separation = float(cfg.params["separation"])
-    momentum = float(cfg.params["momentum"])
-    d_cut = float(cfg.params["d_cut"])
+    d_cut = cfg.values["report.d_cut"]
     g_demo = cfg.units.G
-    couplings = sorted(set(cfg.params["couplings"]) | {g_demo})
+    couplings = sorted(set(cfg.values["scan.couplings"]) | {g_demo})
 
-    state = _two_packet_state(grid, width, separation, momentum)
+    state = _two_packet_state(cfg)
     per_g: dict[float, dict] = {}
     worst: dict[str, float] = {}
     for g in couplings:
@@ -294,15 +293,9 @@ def _run_two_packet(cfg: ScenarioConfig, emit: _Emitter) -> dict:
 def _run_perturbative(cfg: ScenarioConfig, emit: _Emitter) -> dict:
     assert cfg.grid is not None and cfg.evolution is not None
     grid = cfg.grid
-    state = _two_packet_state(
-        grid,
-        float(cfg.params["width"]),
-        float(cfg.params["separation"]),
-        float(cfg.params["momentum"]),
-    )
+    state = _two_packet_state(cfg)
     g0 = cfg.units.G
-    halvings = int(cfg.params["halvings"])
-    couplings = [g0 / 2**j for j in range(halvings + 1)]
+    couplings = [g0 / 2**j for j in range(cfg.values["dyson.halvings"] + 1)]
 
     full_densities = []
     worst: dict[str, float] = {}
@@ -356,12 +349,8 @@ def _cow_sweep(
 
 
 def _run_cow_sweep(cfg: ScenarioConfig, emit: _Emitter) -> dict:
-    L = float(cfg.params["L"])
-    v = float(cfg.params["v"])
     deltas = np.linspace(
-        float(cfg.params["delta_start"]),
-        float(cfg.params["delta_stop"]),
-        int(cfg.params["delta_points"]),
+        cfg.values["cow.delta_start"], cfg.values["cow.delta_stop"], cfg.values["cow.delta_points"]
     )
     hbar = cfg.units.hbar
 
@@ -370,7 +359,9 @@ def _run_cow_sweep(cfg: ScenarioConfig, emit: _Emitter) -> dict:
     max_prob_corr = 0.0
     enum_max_re = 0.0
     comp_max = 0.0
-    base = InterferometerConfig(species=cfg.species, L=L, v=v, delta=0.0, units=cfg.units)
+    base = InterferometerConfig(
+        species=cfg.species, L=cfg.values["cow.L"], v=cfg.values["cow.v"], delta=0.0, units=cfg.units
+    )
     sweep, results = _cow_sweep(base, deltas)
     emit.emit("cow.csv", sweep)
     for d, res in zip(deltas, results):

@@ -84,7 +84,7 @@ def test_resolved_config_round_trips(text):
     first = parse_config(text)
     again = parse_config(render(first.resolved))
     assert again.resolved == first.resolved
-    assert again.params == first.params
+    assert again.values == first.values
     assert again.scenario == first.scenario
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from gravtwin import (
     parse_config,
     run,
 )
+from gravtwin.config import SCHEMAS
 from gravtwin.scenarios import TIMESERIES_COLUMNS, _full_observer
 
 TWO_PACKET_SMALL = """
@@ -114,6 +116,29 @@ def test_evolution_error_names_its_key(key):
     assert str(err.value).startswith(f"{key}: ")
 
 
+def _out_of_range_cases():
+    """One value outside each key's declared range, for every schema; then the grid rules."""
+    for scenario, schema in SCHEMAS.items():
+        for key, spec in schema.items():
+            if spec.positive:
+                yield scenario, key, "0"
+            if spec.low > -math.inf:
+                yield scenario, key, str(spec.low - 1)
+            if spec.high < math.inf:
+                yield scenario, key, str(spec.high + 1)
+    yield "potential-scan", "coupling.g", "-1"
+    for scenario in ("free-check", "two-packet-decoherence", "perturbative-crosscheck"):
+        yield scenario, "grid.n", "100"
+        yield scenario, "grid.x_max", "-30"
+
+
+@pytest.mark.parametrize("scenario,key,value", list(_out_of_range_cases()))
+def test_out_of_range_value_names_its_key(scenario, key, value):
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"scenario = {scenario}\n{key} = {value}\n")
+    assert str(err.value).startswith(f"{key}: ")
+
+
 def test_under_resolved_packet_rejected():
     with pytest.raises(ConfigError):
         parse_config("scenario = free-check\ngrid.n = 128\n")  # dx = 0.3125 vs width 0.5
@@ -128,7 +153,7 @@ def test_custom_cow_overrides_geometry():
     # under preset = custom the remaining keys keep their defaults
     cfg = parse_config("scenario = cow-sweep\ncow.preset = custom\ncow.mass = 1e-26\n")
     assert cfg.species.mass == 1e-26
-    assert cfg.params["L"] == 0.10
+    assert cfg.values["cow.L"] == 0.10
 
 
 ABSORBING_FREE = """
@@ -285,6 +310,17 @@ def test_cli_run_bad_config(tmp_path, capsys):
     assert cli.main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "o")]) == 1
 
 
+def test_cli_run_non_utf8_config(tmp_path, capsys):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_bytes(b"scenario = free-check\n# caf\xff\n")
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", str(cfg_file), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ")
+    assert str(cfg_file) in err
+    assert not out.exists()
+
+
 def test_cli_run_missing_config(tmp_path):
     assert cli.main(["run", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "o")]) == 3
 
@@ -369,10 +405,22 @@ def test_cli_cow_preset_conflicts(tmp_path):
     assert rc == 1
 
 
-def test_cli_cow_bad_sweep(tmp_path):
-    rc = cli.main(["cow", "--delta-sweep", "0:1", "--preset", "neutron",
-                   "--out", str(tmp_path / "c.csv")])
+def test_cli_cow_bad_sweep(tmp_path, capsys):
+    for sweep in ("0:1", "1:0:5", "0:inf:3", "-inf:0:3", "nan:1:3"):
+        rc = cli.main(["cow", "--delta-sweep", sweep, "--preset", "neutron",
+                       "--out", str(tmp_path / "c.csv")])
+        assert rc == 1
+        assert "--delta-sweep" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize("r_max", ["0", "-1e-15", "inf", "nan"])
+def test_cli_potential_rejects_bad_r_max(tmp_path, capsys, r_max):
+    out = tmp_path / "v.csv"
+    rc = cli.main([
+        "potential", "--mass", "1.675e-27", "--radius", "1e-15",
+        "--r-max", r_max, "--out", str(out),
+    ])
     assert rc == 1
-    rc = cli.main(["cow", "--delta-sweep", "1:0:5", "--preset", "neutron",
-                   "--out", str(tmp_path / "c.csv")])
-    assert rc == 1
+    assert "--r-max" in capsys.readouterr().err
+    assert not out.exists()
