@@ -39,7 +39,7 @@ def var_of(state):
 
 
 rec = evolve(state, ExternalPotential.null(), pair, cfg,
-             observer=lambda s: {"var": var_of(s)})
+             observer=lambda s: {"var": var_of(s), "norm": s.norm()})
 
 print("      t     sigma^2(num)   sigma^2(exact)    rel err")
 for t, obs in zip(rec.times, rec.reduced_observables):
@@ -50,5 +50,5 @@ for t, obs in zip(rec.times, rec.reduced_observables):
 rep = decoherence_report(partial_trace(rec.final_state), d_cut=4 * width)
 print(f"\nfinal purity:          {rep.purity:.12f}")
 print(f"final linear entropy:  {rep.linear_entropy:.3e}")
-print(f"norm drift over run:   {abs(rec.norms[-1] - 1.0):.3e}")
+print(f"norm drift over run:   {abs(rec.reduced_observables[-1]['norm'] - 1.0):.3e}")
 print("\nno coupling, no decoherence: the hidden copy is pure bookkeeping here")

@@ -25,7 +25,6 @@ from .core import (
     make_grid,
     product_metastate,
     separated_product_state,
-    to_dimensionless,
 )
 from .potential import PairPotential, SeparatingAction
 from .evolve import (
@@ -109,6 +108,5 @@ __all__ = [
     "product_metastate",
     "separated_product_state",
     "structural_checks",
-    "to_dimensionless",
     "zeroth_order_probability",
 ]

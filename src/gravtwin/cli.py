@@ -1,21 +1,22 @@
 """Command-line face: scenario runs plus two direct-computation verbs.
 
 Exit codes: 0 success, 1 validation failure, 2 numerical abort, 3 I/O
-failure.  Argument errors count as validation.  The only environment
-knob is GRAVTWIN_WORKERS (transform worker threads); it never changes
-results, only speed.
+failure.  Argument errors and sizes too large to allocate count as
+validation.  Each numeric flag is checked against the range of the
+scenario config key it stands for, and its errors start with the flag.
+The only environment knob is GRAVTWIN_WORKERS (transform worker
+threads); it never changes results, only speed.
 """
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from ._version import __version__
-from .config import ConfigError, load_config
+from .config import SCHEMAS, ConfigError, _coerce, load_config
 from .core import ParticleSpecies, UnitSystem, ValidationError
 from .evolve import NumericalAbort
 from .interferometer import InterferometerConfig, cow_neutron_preset
@@ -41,10 +42,10 @@ def _build_parser() -> _Parser:
     p_run.add_argument("--out", required=True, help="output directory (fresh per run)")
 
     p_pot = sub.add_parser("potential", help="tabulate the pair potential (SI units)")
-    p_pot.add_argument("--mass", type=float, required=True, help="sphere mass, kg")
-    p_pot.add_argument("--radius", type=float, required=True, help="sphere radius, m")
-    p_pot.add_argument("--r-max", type=float, required=True, help="largest separation, m")
-    p_pot.add_argument("--samples", type=int, default=1024)
+    p_pot.add_argument("--mass", required=True, help="sphere mass, kg")
+    p_pot.add_argument("--radius", required=True, help="sphere radius, m")
+    p_pot.add_argument("--r-max", required=True, help="largest separation, m")
+    p_pot.add_argument("--samples", default="1024")
     p_pot.add_argument("--out", required=True, help="CSV path")
 
     p_cow = sub.add_parser("cow", help="two-arm fringe sweep with the pair correction")
@@ -53,10 +54,10 @@ def _build_parser() -> _Parser:
         help="phase-difference action sweep, J s",
     )
     p_cow.add_argument("--preset", choices=["neutron"], help="built-in geometry")
-    p_cow.add_argument("--mass", type=float, help="particle mass, kg (custom geometry)")
-    p_cow.add_argument("--radius", type=float, help="particle radius, m")
-    p_cow.add_argument("--L", type=float, help="arm scale, m")
-    p_cow.add_argument("--v", type=float, help="beam speed, m/s")
+    p_cow.add_argument("--mass", help="particle mass, kg (custom geometry)")
+    p_cow.add_argument("--radius", help="particle radius, m")
+    p_cow.add_argument("--L", help="arm scale, m")
+    p_cow.add_argument("--v", help="beam speed, m/s")
     p_cow.add_argument("--out", required=True, help="CSV path")
 
     sub.add_parser("version", help="print version and exit")
@@ -66,17 +67,14 @@ def _build_parser() -> _Parser:
 def _parse_sweep(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
-        raise ConfigError(f"--delta-sweep expects START:STOP:N, got {text!r}")
-    try:
-        start, stop, n = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError:
-        raise ConfigError(f"--delta-sweep expects numbers START:STOP:N, got {text!r}") from None
-    if not (math.isfinite(start) and math.isfinite(stop)):
-        raise ConfigError(f"--delta-sweep needs finite START and STOP, got {text!r}")
-    if n < 2:
-        raise ConfigError(f"--delta-sweep needs at least 2 points, got {n}")
+        raise ConfigError(f"--delta-sweep: expects START:STOP:N, got {text!r}")
+    keys = SCHEMAS["cow-sweep"]
+    start, stop, n = (
+        _coerce("--delta-sweep", keys[key], part)
+        for key, part in zip(("cow.delta_start", "cow.delta_stop", "cow.delta_points"), parts)
+    )
     if not stop > start:
-        raise ConfigError(f"--delta-sweep needs STOP > START, got {text!r}")
+        raise ConfigError(f"--delta-sweep: needs STOP > START, got {text!r}")
     return start, stop, n
 
 
@@ -88,15 +86,16 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_potential(args) -> int:
-    species = ParticleSpecies(mass=args.mass, radius=args.radius)
+    keys = SCHEMAS["potential-scan"]
+    species = ParticleSpecies(
+        mass=_coerce("--mass", keys["species.mass"], args.mass),
+        radius=_coerce("--radius", keys["species.radius"], args.radius),
+    )
     pair = PairPotential(species=species, units=UnitSystem.si())
-    if args.samples < 2:
-        raise ConfigError(f"--samples must be >= 2, got {args.samples}")
-    if not (math.isfinite(args.r_max) and args.r_max > 0):
-        raise ConfigError(f"--r-max must be finite and > 0, got {args.r_max}")
-    r = np.linspace(0.0, args.r_max, args.samples)
+    samples = _coerce("--samples", keys["potential.samples"], args.samples)
+    r = np.linspace(0.0, _coerce("--r-max", keys["potential.r_max"], args.r_max), samples)
     Path(args.out).write_bytes(csv_bytes(("r", "V_G"), zip(r, pair.evaluate(r))))
-    print(f"wrote {args.samples} samples to {args.out}")
+    print(f"wrote {samples} samples to {args.out}")
     return 0
 
 
@@ -109,10 +108,14 @@ def _cmd_cow(args) -> int:
     else:
         if any(v is None for v in custom):
             raise ConfigError("custom geometry needs all of --mass --radius --L --v")
+        keys = SCHEMAS["cow-sweep"]
         base = InterferometerConfig(
-            species=ParticleSpecies(mass=args.mass, radius=args.radius),
-            L=args.L,
-            v=args.v,
+            species=ParticleSpecies(
+                mass=_coerce("--mass", keys["cow.mass"], args.mass),
+                radius=_coerce("--radius", keys["cow.radius"], args.radius),
+            ),
+            L=_coerce("--L", keys["cow.L"], args.L),
+            v=_coerce("--v", keys["cow.v"], args.v),
             delta=0.0,
             units=UnitSystem.si(),
         )
@@ -141,6 +144,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (ConfigError, ValidationError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"invalid input: too large to allocate: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)

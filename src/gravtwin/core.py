@@ -1,9 +1,8 @@
 """Units, species, grids, and the two-coordinate state container.
 
 Everything downstream works in one of two unit modes.  SI mode keeps
-values in SI and carries the CODATA constants.  Dimensionless mode
-rescales so that hbar = 1 and the reference species has unit mass; the
-single surviving knob is the coupling g = G m^3 l / hbar^2.
+values in SI and carries the CODATA constants.  Dimensionless mode sets
+hbar = 1; the single surviving knob is the coupling g = G m^3 l / hbar^2.
 """
 from __future__ import annotations
 
@@ -17,9 +16,8 @@ from numpy.typing import NDArray
 HBAR_SI = 1.054571817e-34  # J s
 NEWTON_G_SI = 6.67430e-11  # m^3 kg^-1 s^-2
 
-# Quantity kinds the converters understand.  Everything in this code is
-# expressible in these seven.
-QUANTITY_KINDS = ("length", "mass", "time", "velocity", "momentum", "energy", "action")
+# How far a state's norm may sit from 1 before it is rejected as not normalized.
+UNIT_NORM_TOL = 1e-8
 
 
 class ValidationError(ValueError):
@@ -33,28 +31,22 @@ def _readonly(a: NDArray) -> NDArray:
 
 @dataclass(frozen=True)
 class UnitSystem:
-    """Unit mode plus the scale factors tying code numbers to SI.
+    """Unit mode and the two constants every computation reads.
 
-    length_unit / mass_unit / time_unit are the SI sizes of one code
-    unit.  In SI mode all three are 1 (code numbers are SI numbers).  In
-    dimensionless mode they record the rescaling, so conversions round
-    trip exactly.
+    In SI mode code numbers are SI numbers.  Dimensionless mode sets
+    hbar = 1, and G is the coupling g = G m^3 l / hbar^2 of a species of
+    mass m and radius l taken as the units of mass and length.
     """
 
     hbar: float
     G: float
-    length_unit: float = 1.0
-    mass_unit: float = 1.0
-    time_unit: float = 1.0
     mode: str = "SI"
 
     def __post_init__(self) -> None:
         if self.mode not in ("SI", "dimensionless"):
             raise ValidationError(f"unknown unit mode {self.mode!r}")
-        for name in ("hbar", "length_unit", "mass_unit", "time_unit"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise ValidationError(f"{name} must be finite and > 0, got {v!r}")
+        if not (math.isfinite(self.hbar) and self.hbar > 0):
+            raise ValidationError(f"hbar must be finite and > 0, got {self.hbar!r}")
         if not (math.isfinite(self.G) and self.G >= 0):
             raise ValidationError(f"G must be finite and >= 0, got {self.G!r}")
         if self.mode == "dimensionless" and self.hbar != 1.0:
@@ -66,37 +58,8 @@ class UnitSystem:
 
     @classmethod
     def dimensionless(cls, g: float) -> "UnitSystem":
-        """Bare dimensionless system with coupling g and unit scales."""
+        """hbar = 1 and coupling g = G m^3 l / hbar^2 (species mass m and radius l as units)."""
         return cls(hbar=1.0, G=g, mode="dimensionless")
-
-    def scale(self, kind: str) -> float:
-        """SI size of one code unit of the given quantity kind."""
-        l, m, t = self.length_unit, self.mass_unit, self.time_unit
-        try:
-            return {
-                "length": l,
-                "mass": m,
-                "time": t,
-                "velocity": l / t,
-                "momentum": m * l / t,
-                "energy": m * l * l / (t * t),
-                "action": m * l * l / t,
-            }[kind]
-        except KeyError:
-            raise ValidationError(f"unknown quantity kind {kind!r}") from None
-
-    def to_code(self, value: float, kind: str) -> float:
-        return value / self.scale(kind)
-
-    def from_code(self, value: float, kind: str) -> float:
-        return value * self.scale(kind)
-
-    def species_code(self, species: "ParticleSpecies") -> "ParticleSpecies":
-        """The species expressed in this system's code units."""
-        return ParticleSpecies(
-            mass=species.mass / self.mass_unit,
-            radius=species.radius / self.length_unit,
-        )
 
 
 @dataclass(frozen=True)
@@ -111,30 +74,6 @@ class ParticleSpecies:
             raise ValidationError(f"mass must be finite and > 0, got {self.mass!r}")
         if not (math.isfinite(self.radius) and self.radius > 0):
             raise ValidationError(f"radius must be finite and > 0, got {self.radius!r}")
-
-
-def to_dimensionless(
-    species: ParticleSpecies,
-    units: UnitSystem,
-    length_unit: float | None = None,
-) -> UnitSystem:
-    """Rescale an SI system to hbar = 1 and unit species mass.
-
-    The length unit defaults to the species radius; the time unit
-    follows as m l^2 / hbar.  The gravitational constant collapses to
-    the dimensionless coupling g = G m^3 l / hbar^2.
-    """
-    if units.mode != "SI":
-        raise ValidationError("to_dimensionless expects an SI unit system")
-    l = species.radius if length_unit is None else length_unit
-    if not (math.isfinite(l) and l > 0):
-        raise ValidationError(f"length unit must be finite and > 0, got {l!r}")
-    m = species.mass
-    tau = m * l * l / units.hbar
-    g = units.G * m**3 * l / units.hbar**2
-    return UnitSystem(
-        hbar=1.0, G=g, length_unit=l, mass_unit=m, time_unit=tau, mode="dimensionless"
-    )
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ import scipy.fft as sfft
 from numpy.typing import NDArray
 
 from .core import (
+    UNIT_NORM_TOL,
     ExternalPotential,
     Grid1D,
     MetaState,
@@ -42,7 +43,7 @@ from .core import (
     ValidationError,
     separated_axes,
 )
-from .potential import PairPotential
+from .potential import PERTURBATIVE_WINDOW, PairPotential
 
 WORKERS_ENV = "GRAVTWIN_WORKERS"
 
@@ -102,7 +103,6 @@ class EvolutionConfig:
 @dataclass(frozen=True)
 class EvolutionRecord:
     times: NDArray[np.float64]
-    norms: NDArray[np.float64]
     final_state: MetaState
     reduced_observables: Sequence[Any] | None = None  # one observer result per record
 
@@ -224,7 +224,7 @@ def _engine_for(
     else:
         engine, start = _GridEngine, state
     nrm = start.norm()
-    if abs(nrm - 1.0) > 1e-8:
+    if abs(nrm - 1.0) > UNIT_NORM_TOL:
         raise ValidationError(f"expected a normalized state, got norm {nrm!r}")
     cfg.check_stability(state.grid, pair.species.mass, pair.units.hbar)
     return engine, start
@@ -253,7 +253,6 @@ def evolve(
     psi = engine.channels(extra=0)
 
     times: list[float] = []
-    norms: list[float] = []
     observed: list[Any] = []
 
     def record(step: int, snap: MetaState | None = None) -> MetaState:
@@ -266,7 +265,6 @@ def evolve(
         if snap is None:
             snap = engine.gather(psi, t)
         times.append(t)
-        norms.append(snap.norm())
         if observer is not None:
             observed.append(observer(snap))
         return snap
@@ -279,7 +277,6 @@ def evolve(
 
     return EvolutionRecord(
         times=np.array(times),
-        norms=np.array(norms),
         final_state=last,
         reduced_observables=observed if observer is not None else None,
     )
@@ -314,16 +311,17 @@ def dyson_first_order(
     splitting mismatch is left over.  psi1 is linear in the coupling, so
     scaling G by a power of two scales psi1 by the same power, bit for
     bit.  The channels share one stacked transform pair per step.
-    Requires a perturbatively small coupling (|V_pair(0)| steps dt /
-    hbar < 0.1).  For a SeparatedState both channels are gathered at
-    the end.
+    Requires a perturbatively small coupling: pair.action_over_hbar of
+    the run time below PERTURBATIVE_WINDOW.  For a SeparatedState both
+    channels are gathered at the end.
     """
     build = _engine_for(state0, pot_ext, pair, cfg)[0]  # the gathered start is not kept
     hbar = pair.units.hbar
-    action_est = abs(pair.evaluate(0.0)) * cfg.steps * cfg.dt / hbar
-    if action_est >= 0.1:
+    action = pair.action_over_hbar(cfg.dt * cfg.steps)
+    if action >= PERTURBATIVE_WINDOW:
         raise ValidationError(
-            f"coupling too large for a first-order split: |V(0)| T / hbar = {action_est:.3g} >= 0.1"
+            f"coupling too large for a first-order split: |V(0)| T / hbar = {action:.3g} "
+            f">= {PERTURBATIVE_WINDOW}"
         )
 
     engine = build(state0, pot_ext, pair, cfg, coupled=False)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .core import ParticleSpecies, UnitSystem, ValidationError
-from .potential import PairPotential
+from .potential import PERTURBATIVE_WINDOW, PairPotential
 
 
 class PerturbativeRegimeWarning(UserWarning):
@@ -140,7 +140,7 @@ def correction(cfg: InterferometerConfig) -> CorrectionResult:
             A=amp0, a=0j, Aa_star=0j,
             prob_zeroth=prob0, prob_correction=0.0, S_G0=0.0, S_G1=0.0,
         )
-    if s0 / hbar >= 0.1:
+    if s0 / hbar >= PERTURBATIVE_WINDOW:  # s0 / hbar is PairPotential.action_over_hbar(T)
         warnings.warn(
             f"coupling action S0/hbar = {s0 / hbar:.3g} is not small; "
             "the first-order result is outside its validity window",

@@ -25,6 +25,9 @@ from .core import Grid1D, ParticleSpecies, UnitSystem, ValidationError
 # Closed-form vs quadrature agreement demanded of every separating-action call.
 _ACTION_AGREEMENT_RTOL = 1e-10
 
+# First order in the coupling holds while S0 / hbar = |V(0)| T / hbar stays below this.
+PERTURBATIVE_WINDOW = 0.1
+
 
 @dataclass(frozen=True)
 class SeparatingAction:
@@ -141,3 +144,7 @@ class PairPotential:
         if not (math.isfinite(T) and T > 0):
             raise ValidationError(f"flight time must be finite and > 0, got {T!r}")
         return -T * self.evaluate(0.0)
+
+    def action_over_hbar(self, T: float) -> float:
+        """S0 / hbar = |V(0)| T / hbar: held against PERTURBATIVE_WINDOW by first-order results."""
+        return self.action_coincident(T) / self.units.hbar

@@ -16,10 +16,9 @@ from functools import cached_property
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import Grid1D, MetaState, ValidationError
+from .core import UNIT_NORM_TOL, Grid1D, MetaState, ValidationError
 
 _HERMITICITY_TOL = 1e-10
-_TRACE_TOL = 1e-8
 _EIG_FLOOR = 1e-12  # weights below this are excluded from p ln p
 
 
@@ -43,8 +42,8 @@ class ReducedDensityMatrix:
             raise ValidationError(f"rho is not Hermitian: max |rho - rho^H| = {herm:.3e}")
         object.__setattr__(self, "hermiticity", herm)
         tr = float(np.trace(r).real) * self.grid.dx
-        if abs(tr - 1.0) > _TRACE_TOL:
-            raise ValidationError(f"rho trace {tr!r} deviates from 1 beyond {_TRACE_TOL}")
+        if abs(tr - 1.0) > UNIT_NORM_TOL:
+            raise ValidationError(f"rho trace {tr!r} deviates from 1 beyond {UNIT_NORM_TOL}")
         r.setflags(write=False)
         object.__setattr__(self, "rho", r)
 
@@ -72,7 +71,7 @@ def partial_trace(state: MetaState) -> ReducedDensityMatrix:
     wrong and rescaling would bury it.
     """
     nrm = state.norm()
-    if abs(nrm - 1.0) > _TRACE_TOL:
+    if abs(nrm - 1.0) > UNIT_NORM_TOL:
         raise ValidationError(
             f"partial_trace expects a normalized state, got norm {nrm!r}"
         )

@@ -131,15 +131,6 @@ def _invariant_summary(checks: Sequence[Mapping[str, float]]) -> dict[str, float
     }
 
 
-def _merge_worst(worst: dict[str, float], inv: Mapping[str, float]) -> None:
-    """Fold one run's invariant summary into the worst values seen so far."""
-    for key, val in inv.items():
-        if key == "min_eigenvalue":
-            worst[key] = min(worst.get(key, val), val)
-        else:
-            worst[key] = max(worst.get(key, val), val)
-
-
 def _timeseries_rows(times, observed: Sequence[_Observation]):
     for t, o in zip(times, observed):
         r = o.report
@@ -244,7 +235,7 @@ def _run_two_packet(cfg: ScenarioConfig, emit: _Emitter) -> dict:
 
     state = _two_packet_state(cfg)
     per_g: dict[float, dict] = {}
-    worst: dict[str, float] = {}
+    checks: list[dict[str, float]] = []
     for g in couplings:
         units_g = UnitSystem.dimensionless(g)
         pair = PairPotential(species=cfg.species, units=units_g)
@@ -268,7 +259,7 @@ def _run_two_packet(cfg: ScenarioConfig, emit: _Emitter) -> dict:
             "final_vn_entropy": observed[-1].report.von_neumann_entropy,
             "final_coherence_offdiag": observed[-1].report.coherence_offdiag,
         }
-        _merge_worst(worst, _invariant_summary([o.checks for o in observed]))
+        checks.extend(o.checks for o in observed)
         if g == g_demo:
             dens = observed[-1].report.position_density
             emit.emit("rho_diag_final.npy", _npy_bytes(dens))
@@ -286,7 +277,7 @@ def _run_two_packet(cfg: ScenarioConfig, emit: _Emitter) -> dict:
         "demo_purity_drop": 1.0 - per_g[g_demo]["min_purity"],
         "decay_rates": rates,
         "decay_rates_nondecreasing": all(b >= a for a, b in zip(rates, rates[1:])),
-        **worst,
+        **_invariant_summary(checks),
     }
 
 
@@ -298,13 +289,13 @@ def _run_perturbative(cfg: ScenarioConfig, emit: _Emitter) -> dict:
     couplings = [g0 / 2**j for j in range(cfg.values["dyson.halvings"] + 1)]
 
     full_densities = []
-    worst: dict[str, float] = {}
+    checks: list[dict[str, float]] = []
     for g in couplings:
         pair = PairPotential(species=cfg.species, units=UnitSystem.dimensionless(g))
         record = evolve(state, ExternalPotential.null(), pair, cfg.evolution, observer=structural_checks)
         assert record.reduced_observables is not None
         full_densities.append(np.sum(np.abs(record.final_state.amplitudes) ** 2, axis=1) * grid.dx)
-        _merge_worst(worst, _invariant_summary(record.reduced_observables))
+        checks.extend(record.reduced_observables)
     del record
 
     # One Dyson pass at g0, after the full runs so its channels never share
@@ -323,7 +314,6 @@ def _run_perturbative(cfg: ScenarioConfig, emit: _Emitter) -> dict:
             first_order_mass = float(np.sum(approx_density) * grid.dx)
 
     ratios = [a / b for a, b in zip(residuals, residuals[1:])]
-    t_total = cfg.evolution.dt * cfg.evolution.steps
     emit.emit("residuals.csv", csv_bytes(("g", "max_residual"), zip(couplings, residuals)))
     return {
         "couplings": couplings,
@@ -331,8 +321,8 @@ def _run_perturbative(cfg: ScenarioConfig, emit: _Emitter) -> dict:
         "halving_ratios": ratios,
         "ratios_within_band": all(3.5 <= r <= 4.5 for r in ratios),
         "first_order_mass": first_order_mass,
-        "action_estimate_over_hbar": abs(pair0.evaluate(0.0)) * t_total / cfg.units.hbar,
-        **worst,
+        "action_estimate_over_hbar": pair0.action_over_hbar(cfg.evolution.dt * cfg.evolution.steps),
+        **_invariant_summary(checks),
     }
 
 

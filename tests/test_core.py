@@ -14,18 +14,9 @@ from gravtwin import (
     gaussian_wavepacket,
     make_grid,
     product_metastate,
-    to_dimensionless,
 )
-from gravtwin.core import QUANTITY_KINDS
 
-NEUTRON_MASS = 1.675e-27
-NEUTRON_RADIUS = 1e-15
 HBAR = 1.054571817e-34
-
-# Independently computed: g = G m^3 l / hbar^2, tau = m l^2 / hbar for a
-# neutron-mass species at length unit 1e-15 m (40-digit decimal arithmetic).
-NEUTRON_G_DIMLESS = 2.8203164217474422e-38
-NEUTRON_TAU = 1.5883223626864665e-23
 
 
 def test_si_constants():
@@ -33,55 +24,6 @@ def test_si_constants():
     assert u.hbar == HBAR
     assert u.G == 6.67430e-11
     assert u.mode == "SI"
-    assert u.length_unit == 1.0 and u.mass_unit == 1.0 and u.time_unit == 1.0
-
-
-def test_dimensionless_coupling_value():
-    sp = ParticleSpecies(mass=NEUTRON_MASS, radius=NEUTRON_RADIUS)
-    u = to_dimensionless(sp, UnitSystem.si())
-    assert u.hbar == 1.0
-    np.testing.assert_allclose(u.G, NEUTRON_G_DIMLESS, rtol=1e-12)
-    np.testing.assert_allclose(u.time_unit, NEUTRON_TAU, rtol=1e-12)
-    assert u.length_unit == NEUTRON_RADIUS
-    assert u.mass_unit == NEUTRON_MASS
-    code = u.species_code(sp)
-    assert code.mass == 1.0
-    assert code.radius == 1.0
-
-
-def test_dimensionless_custom_length_unit():
-    sp = ParticleSpecies(mass=NEUTRON_MASS, radius=NEUTRON_RADIUS)
-    u = to_dimensionless(sp, UnitSystem.si(), length_unit=2e-15)
-    np.testing.assert_allclose(u.G, 2.0 * NEUTRON_G_DIMLESS, rtol=1e-12)
-    assert u.species_code(sp).radius == 0.5
-
-
-@pytest.mark.parametrize("kind", sorted(QUANTITY_KINDS))
-def test_unit_round_trip(kind):
-    sp = ParticleSpecies(mass=NEUTRON_MASS, radius=NEUTRON_RADIUS)
-    u = to_dimensionless(sp, UnitSystem.si())
-    si_value = 3.7e-20
-    code = u.to_code(si_value, kind)
-    np.testing.assert_allclose(u.from_code(code, kind), si_value, rtol=1e-14)
-
-
-def test_derived_scales_consistent():
-    # velocity = length/time, energy = mass length^2 / time^2, action = energy*time
-    sp = ParticleSpecies(mass=NEUTRON_MASS, radius=NEUTRON_RADIUS)
-    u = to_dimensionless(sp, UnitSystem.si())
-    l, t, m = u.scale("length"), u.scale("time"), u.scale("mass")
-    np.testing.assert_allclose(u.scale("velocity"), l / t, rtol=1e-14)
-    np.testing.assert_allclose(u.scale("momentum"), m * l / t, rtol=1e-14)
-    np.testing.assert_allclose(u.scale("energy"), m * l**2 / t**2, rtol=1e-14)
-    np.testing.assert_allclose(u.scale("action"), m * l**2 / t, rtol=1e-14)
-    # action unit is hbar itself by construction of the time unit
-    np.testing.assert_allclose(u.scale("action"), HBAR, rtol=1e-14)
-
-
-def test_unknown_kind_rejected():
-    u = UnitSystem.si()
-    with pytest.raises(ValidationError):
-        u.scale("charge")
 
 
 def test_dimensionless_requires_unit_hbar():

@@ -78,8 +78,9 @@ def test_free_norm_conservation():
     units, grid, pair = setup()
     st = gaussian_product_metastate(grid, 0.0, 0.6, 1.0)
     rec = evolve(st, ExternalPotential.null(), pair,
-                 EvolutionConfig(dt=1e-3, steps=300, record_every=50))
-    assert np.max(np.abs(rec.norms - 1.0)) < 1e-12
+                 EvolutionConfig(dt=1e-3, steps=300, record_every=50),
+                 observer=lambda s: s.norm())
+    assert np.max(np.abs(np.array(rec.reduced_observables) - 1.0)) < 1e-12
 
 
 def test_free_spreading_law():

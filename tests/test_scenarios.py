@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,14 +9,25 @@ import pytest
 import gravtwin.cli as cli
 from gravtwin import (
     ConfigError,
+    ExternalPotential,
+    InterferometerConfig,
     NumericalAbort,
+    PairPotential,
+    ParticleSpecies,
+    PerturbativeRegimeWarning,
+    UnitSystem,
+    ValidationError,
+    correction,
+    dyson_first_order,
     gaussian_product_metastate,
     load_config,
     make_grid,
     parse_config,
     run,
+    separated_product_state,
 )
 from gravtwin.config import SCHEMAS
+from gravtwin.potential import PERTURBATIVE_WINDOW
 from gravtwin.scenarios import TIMESERIES_COLUMNS, _full_observer
 
 TWO_PACKET_SMALL = """
@@ -338,7 +350,6 @@ def test_cli_numerical_abort_exit_code(tmp_path, monkeypatch, capsys):
 
 def test_cli_run_failure_leaves_error_manifest(tmp_path, monkeypatch, capsys):
     import gravtwin.scenarios as scenarios
-    from gravtwin import ValidationError
 
     def refuse(state):
         raise ValidationError("synthetic reduction failure")
@@ -424,3 +435,81 @@ def test_cli_potential_rejects_bad_r_max(tmp_path, capsys, r_max):
     assert rc == 1
     assert "--r-max" in capsys.readouterr().err
     assert not out.exists()
+
+
+POTENTIAL_ARGV = {"--mass": "1.675e-27", "--radius": "1e-15", "--r-max": "1e-14", "--samples": "16"}
+COW_ARGV = {"--mass": "1e-20", "--radius": "1e-9", "--L": "0.05", "--v": "100.0", "--delta-sweep": "0:6.3:8"}
+BAD_FLAG_VALUES = [
+    *(("potential", flag, value) for flag in ("--mass", "--radius", "--r-max") for value in ("0", "-1", "inf", "nan")),
+    ("potential", "--samples", "1"),
+    *(("cow", flag, value) for flag in ("--mass", "--radius", "--L", "--v") for value in ("0", "-1", "inf", "nan")),
+    *(("cow", "--delta-sweep", sweep) for sweep in ("0:6.3:1", "0:inf:8", "nan:6.3:8")),
+]
+
+
+@pytest.mark.parametrize("verb, flag, value", BAD_FLAG_VALUES, ids=[f"{v}{f}={x}" for v, f, x in BAD_FLAG_VALUES])
+def test_cli_bad_number_names_its_flag(tmp_path, capsys, verb, flag, value):
+    out = tmp_path / "x.csv"
+    flags = {**(POTENTIAL_ARGV if verb == "potential" else COW_ARGV), flag: value}
+    rc = cli.main([verb, *(f"{f}={v}" for f, v in flags.items()), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"invalid input: {flag}: ")
+    assert not out.exists()
+
+
+def test_cli_too_large_to_allocate(tmp_path, capsys):
+    # 1e14 float64 points is far beyond any address space, so the allocation fails at once.
+    out = tmp_path / "x.csv"
+    rc = cli.main(["cow", "--preset", "neutron", "--delta-sweep", "0:1e-33:100000000000000", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ") and err.count("\n") == 1
+    assert not out.exists()
+
+    cfg_file = tmp_path / "huge.cfg"
+    cfg_file.write_text("scenario = cow-sweep\ncow.delta_points = 100000000000000\n")
+    run_dir = tmp_path / "run"
+    assert cli.main(["run", "--config", str(cfg_file), "--out", str(run_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ") and err.count("\n") == 1
+    assert read_manifest(run_dir)["status"] == "error"
+
+
+def test_one_perturbative_window(tmp_path):
+    """dyson_first_order, correction and the crosscheck summary read one S0 / hbar."""
+    dt, steps = 5e-4, 60
+    T = dt * steps
+    species = ParticleSpecies(mass=1.0, radius=1.0)
+
+    def pair(g):
+        return PairPotential(species, UnitSystem.dimensionless(g))
+
+    # The smallest coupling whose S0 / hbar = 0.6 g T reaches the window, and the one below it.
+    g_edge = PERTURBATIVE_WINDOW / (0.6 * T)
+    while pair(g_edge).action_over_hbar(T) < PERTURBATIVE_WINDOW:
+        g_edge = math.nextafter(g_edge, math.inf)
+    while pair(math.nextafter(g_edge, 0.0)).action_over_hbar(T) >= PERTURBATIVE_WINDOW:
+        g_edge = math.nextafter(g_edge, 0.0)
+    g_inside = math.nextafter(g_edge, 0.0)
+
+    text = f"scenario = perturbative-crosscheck\ngrid.n = 128\nevolution.dt = {dt!r}\nevolution.steps = {steps}\n"
+    inside = parse_config(text + f"coupling.g = {g_inside!r}\n")
+    run(inside, tmp_path / "inside")
+    summary = json.loads((tmp_path / "inside" / "summary.json").read_text())
+    assert summary["action_estimate_over_hbar"] == pair(g_inside).action_over_hbar(T) < PERTURBATIVE_WINDOW
+
+    edge = parse_config(text + f"coupling.g = {g_edge!r}\n")
+    state = separated_product_state(edge.grid, (-2.0, 2.0), 0.7, 0.0)
+    with pytest.raises(ValidationError, match="first-order"):
+        dyson_first_order(state, ExternalPotential.null(), pair(g_edge), edge.evolution)
+
+    def two_arm(g):
+        # T = 2 L / v is exactly the run time above.
+        return InterferometerConfig(species, L=T, v=2.0, delta=0.0, units=UnitSystem.dimensionless(g))
+
+    assert two_arm(g_edge).T == T
+    with pytest.warns(PerturbativeRegimeWarning):
+        correction(two_arm(g_edge))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        correction(two_arm(g_inside))
