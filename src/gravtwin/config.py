@@ -11,6 +11,7 @@ value is read; only the rules that tie keys together are checked after.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -60,15 +61,25 @@ class _Key:
     high: float = math.inf
 
 
+# The largest count whose array of 16-byte complex numpy can size.  Past it
+# numpy fails before trying to allocate; below it a count too large for
+# memory fails as a MemoryError, which the CLI reports as invalid input.
+_MAX_COUNT = sys.maxsize // 16
+
+
 def _positive(default: float) -> _Key:
     return _Key("float", default, positive=True)
+
+
+def _count(default: int, low: int, high: int = _MAX_COUNT) -> _Key:
+    return _Key("int", default, low=low, high=high)
 
 
 def _evolution_keys(dt: float, steps: int, record_every: int) -> dict[str, _Key]:
     return {
         "evolution.dt": _positive(dt),
-        "evolution.steps": _Key("int", steps, low=1),
-        "evolution.record_every": _Key("int", record_every, low=1),
+        "evolution.steps": _count(steps, low=1),
+        "evolution.record_every": _count(record_every, low=1),
     }
 
 
@@ -76,7 +87,7 @@ def _grid_keys(x_min: float, x_max: float, n: int) -> dict[str, _Key]:
     return {
         "grid.x_min": _Key("float", x_min),
         "grid.x_max": _Key("float", x_max),
-        "grid.n": _Key("int", n, low=8),
+        "grid.n": _count(n, low=8),
     }
 
 
@@ -95,7 +106,7 @@ SCHEMAS: dict[str, dict[str, _Key]] = {
         **_SPECIES_KEYS,
         "coupling.g": _Key("float", 1.0),
         "potential.r_max": _positive(10.0),
-        "potential.samples": _Key("int", 4096, low=2),
+        "potential.samples": _count(4096, low=2),
     },
     "free-check": {
         **_COMMON,
@@ -128,7 +139,7 @@ SCHEMAS: dict[str, dict[str, _Key]] = {
         "packet.separation": _positive(4.0),
         "packet.momentum": _Key("float", 0.0),
         "coupling.g": _positive(1.0 / 3.0),
-        "dyson.halvings": _Key("int", 1, low=1, high=6),
+        "dyson.halvings": _count(1, low=1, high=6),
         **_evolution_keys(5e-4, 500, 100),
     },
     "cow-sweep": {
@@ -137,7 +148,7 @@ SCHEMAS: dict[str, dict[str, _Key]] = {
         **{key: _positive(value) for key, value in _NEUTRON_GEOMETRY.items()},
         "cow.delta_start": _Key("float", 0.0),
         "cow.delta_stop": _Key("float", _DELTA_STOP_DEFAULT),
-        "cow.delta_points": _Key("int", 1000, low=2),
+        "cow.delta_points": _count(1000, low=2),
     },
 }
 
@@ -193,9 +204,10 @@ def _coerce(key: str, spec: _Key, text: str):
             value = int(text)
         except ValueError:
             raise ConfigError(f"{key}: expected an integer, got {text!r}") from None
-        if not spec.low <= value <= spec.high:
-            span = f">= {spec.low}" if spec.high == math.inf else f"in [{spec.low}, {spec.high}]"
-            raise ConfigError(f"{key}: must be an integer {span}, got {value!r}")
+        if value < spec.low:
+            raise ConfigError(f"{key}: must be an integer >= {spec.low}, got {value!r}")
+        if value > spec.high:
+            raise ConfigError(f"{key}: must be an integer <= {spec.high}, got {value!r}")
         return value
     try:
         if spec.typ == "float":

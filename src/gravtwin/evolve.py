@@ -16,7 +16,7 @@ A SeparatedState is stepped as its centre of mass X = (x + x~)/2 (mass
 [V_ext(r) + V_ext(-r)] / 4 + V_pair(|r|)): every external kind is a
 polynomial of degree <= 2 with V_ext(0) = 0, so V above is exactly that
 sum and the step factorises into one 1D step per coordinate.  The pair
-amplitude is gathered only at record points.
+amplitude is gathered only at record points that something reads.
 
 evolve runs the coupled step.  dyson_first_order runs the same engine's
 coupling-free step, with the coupling's derivative inserted around it,
@@ -244,9 +244,11 @@ def evolve(
     checked for blow-up at every record point; non-finite values abort
     the run with a step diagnostic.
 
-    A SeparatedState is stepped by the separated engine.  Its record
-    points, the observer and the final state see the gathered MetaState;
-    mass outside the n x n box is dropped there.
+    A SeparatedState is stepped by the separated engine.  The observer
+    and the final state see the gathered MetaState; mass outside the
+    n x n box is dropped there.  The pair amplitude is gathered only
+    where something reads it: at every record point when there is an
+    observer, else at the last step only.
     """
     build, start = _engine_for(state, pot_ext, pair, cfg)
     engine = build(state, pot_ext, pair, cfg, coupled=True)
@@ -255,21 +257,23 @@ def evolve(
     times: list[float] = []
     observed: list[Any] = []
 
-    def record(step: int, snap: MetaState | None = None) -> MetaState:
+    def record(step: int, snap: MetaState | None = None) -> MetaState | None:
         t = state.time + step * cfg.dt
         bad = _non_finite(psi)
         if bad:
             raise NumericalAbort(
                 f"non-finite amplitudes at step {step} (t={t!r}): {bad} bad entries"
             )
+        times.append(t)
+        if observer is None and step < cfg.steps:
+            return snap
         if snap is None:
             snap = engine.gather(psi, t)
-        times.append(t)
         if observer is not None:
             observed.append(observer(snap))
         return snap
 
-    last = record(0, start)
+    record(0, start)
     for step in range(1, cfg.steps + 1):
         psi = engine.step(psi)
         if step % cfg.record_every == 0 or step == cfg.steps:

@@ -24,6 +24,7 @@ from gravtwin import (
     product_metastate,
     separated_product_state,
 )
+from gravtwin.evolve import _GridEngine, _SeparatedEngine
 
 UNIT = ParticleSpecies(mass=1.0, radius=1.0)
 
@@ -154,14 +155,25 @@ def test_splitting_order_is_two():
         assert 1.8 < p < 2.2
 
 
-def test_record_points():
+def test_record_points(monkeypatch):
     units, grid, pair = setup()
-    st = gaussian_product_metastate(grid, 0.0, 0.6, 0.0)
-    rec = evolve(st, ExternalPotential.null(), pair,
-                 EvolutionConfig(dt=1e-3, steps=95, record_every=30))
-    np.testing.assert_allclose(rec.times, np.array([0, 30, 60, 90, 95]) * 1e-3, rtol=1e-12)
-    assert rec.final_state.time == rec.times[-1]
-    assert rec.reduced_observables is None
+    gathers = []
+    for engine in (_GridEngine, _SeparatedEngine):
+        real_gather = engine.gather
+        monkeypatch.setattr(engine, "gather", lambda self, z, t, _f=real_gather: gathers.append(t) or _f(self, z, t))
+    cfg = EvolutionConfig(dt=1e-3, steps=95, record_every=30)
+    for st in (gaussian_product_metastate(grid, 0.0, 0.6, 0.0), separated_product_state(grid, (0.0,), 0.6, 0.0)):
+        gathers.clear()
+        rec = evolve(st, ExternalPotential.null(), pair, cfg)
+        np.testing.assert_allclose(rec.times, np.array([0, 30, 60, 90, 95]) * 1e-3, rtol=1e-12)
+        assert rec.final_state.time == rec.times[-1]
+        assert rec.reduced_observables is None
+        # with no observer only the final state is gathered
+        assert gathers == [rec.times[-1]]
+        gathers.clear()
+        seen = evolve(st, ExternalPotential.null(), pair, cfg, observer=lambda s: s.time).reduced_observables
+        assert seen == list(rec.times)
+        assert gathers == list(rec.times[1:])  # the start needs no gather
 
 
 def test_nan_abort_with_diagnostic():

@@ -4,15 +4,23 @@ import numpy as np
 import pytest
 
 from gravtwin import (
+    EvolutionConfig,
+    ExternalPotential,
     MetaState,
+    PairPotential,
+    ParticleSpecies,
+    ReducedDensityMatrix,
+    UnitSystem,
     ValidationError,
     decoherence_report,
+    evolve,
     gaussian_product_metastate,
     gaussian_wavepacket,
     make_grid,
     partial_trace,
     position_probability,
     product_metastate,
+    separated_product_state,
     structural_checks,
 )
 
@@ -178,11 +186,12 @@ def test_failed_eigensolve_abandons_only_the_spectrum(monkeypatch):
     def fail(a, *args, **kwargs):
         raise np.linalg.LinAlgError("synthetic non-convergence")
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    monkeypatch.setattr(np.linalg, "svd", fail)
     rep = decoherence_report(rho, d_cut=3.2)
     checks = structural_checks(st, rho)
     assert math.isnan(rep.von_neumann_entropy)
-    assert math.isnan(checks["min_eigenvalue"])
+    # the positivity certificate needs no spectrum
+    assert -1e-10 < checks["min_eigenvalue"] < 0.0
     assert math.isfinite(rep.purity) and math.isfinite(rep.coherence_offdiag)
     np.testing.assert_allclose(rep.purity, 0.5, atol=1e-6)
     assert checks["trace_error"] < 1e-10
@@ -190,3 +199,106 @@ def test_failed_eigensolve_abandons_only_the_spectrum(monkeypatch):
     monkeypatch.undo()
     np.testing.assert_allclose(rho.weights.sum(), 1.0, atol=1e-10)
 
+
+# --- the factor path against the dense spectrum -------------------------------
+
+
+def _evolved_state(n, kind):
+    """A free packet, the decoherence pair (g = 0.5) or the crosscheck pair (g = 1/3) at n."""
+    grid = make_grid(-16.0, 16.0, n)
+    centers, g, steps = {
+        "free": ((0.0,), 0.0, 400),
+        "two-packet": ((-4.0, 4.0), 0.5, 2000),
+        "crosscheck": ((-2.0, 2.0), 1.0 / 3.0, 500),
+    }[kind]
+    pair = PairPotential(ParticleSpecies(mass=1.0, radius=1.0), UnitSystem.dimensionless(g))
+    state = separated_product_state(grid, centers, 0.7, 0.0)
+    cfg = EvolutionConfig(dt=5e-4, steps=steps, record_every=steps)
+    return evolve(state, ExternalPotential.null(), pair, cfg).final_state
+
+
+ORACLE_CASES = [(n, kind) for n in (128, 512) for kind in ("free", "two-packet", "crosscheck")]
+
+
+@pytest.fixture(scope="module")
+def oracle_states():
+    return {case: _evolved_state(*case) for case in ORACLE_CASES}
+
+
+def _dense_entropy(w):
+    p = w[w > 1e-12]
+    return float(-np.sum(p * np.log(p)))
+
+
+def assert_matches_dense(rho):
+    """Weights above the floor within 1e-12 and the entropy within 1e-10 of eigvalsh(rho dx)."""
+    dense = np.linalg.eigvalsh(rho.rho * rho.grid.dx)[::-1]
+    fast = np.zeros_like(dense)
+    fast[: rho.weights.size] = rho.weights[::-1]
+    above = np.maximum(dense, fast) > 1e-12
+    assert np.max(np.abs(fast - dense)[above]) <= 1e-12
+    vn = decoherence_report(rho, d_cut=2.8).von_neumann_entropy
+    assert abs(vn - _dense_entropy(dense)) <= 1e-10
+    return dense
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES, ids=[f"{kind}-n{n}" for n, kind in ORACLE_CASES])
+def test_factor_weights_match_dense_spectrum(oracle_states, case):
+    state = oracle_states[case]
+    rho = partial_trace(state)
+    dense = assert_matches_dense(rho)
+    bound = structural_checks(state, rho)["min_eigenvalue"]
+    assert bound <= dense[-1]
+    assert bound > -1e-10
+
+
+def test_spread_state_reaches_full_rank(monkeypatch):
+    n = 512
+    g = make_grid(-16.0, 16.0, n)
+    rng = np.random.default_rng(7)
+    amps = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    st = MetaState(grid=g, amplitudes=amps / (np.linalg.norm(amps) * g.dx))
+    shapes = []
+    real_svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: shapes.append(a.shape) or real_svd(a, **kw))
+    dense = assert_matches_dense(partial_trace(st))
+    assert np.sum(dense > 1e-12) > 256
+    assert shapes == [(r, n) for r in (32, 64, 128, 256, 512)]
+
+
+def test_planted_negative_eigenvalue_reports_dense_value(monkeypatch):
+    n = 64
+    g = grid_default(n=n)
+    rng = np.random.default_rng(3)
+    q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    w = np.full(n, (1.0 + 1e-6) / (n - 1))
+    w[0] = -1e-6
+    m = (q * w) @ q.conj().T
+    m = 0.5 * (m + m.conj().T)
+    rho = ReducedDensityMatrix(grid=g, rho=m / g.dx)
+    st = gaussian_product_metastate(g, 0.0, 1.2, 0.0)
+    reported = structural_checks(st, rho)["min_eigenvalue"]
+    assert reported == float(np.linalg.eigvalsh(rho.rho * g.dx)[0])
+    np.testing.assert_allclose(reported, -1e-6, rtol=1e-8)
+
+    def fail(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("synthetic non-convergence")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    assert math.isnan(structural_checks(st, rho)["min_eigenvalue"])
+
+
+def test_weights_need_a_factor():
+    g = grid_default(n=64)
+    rho = ReducedDensityMatrix(grid=g, rho=np.eye(64) / (64 * g.dx))
+    with pytest.raises(ValidationError):
+        rho.weights
+    assert structural_checks(gaussian_product_metastate(g, 0.0, 1.2, 0.0), rho)["min_eigenvalue"] > -1e-10
+
+
+def test_partial_trace_keeps_the_amplitudes_as_factor():
+    g = grid_default(n=64)
+    st = gaussian_product_metastate(g, 0.0, 1.2, 0.0)
+    rho = partial_trace(st)
+    assert np.shares_memory(rho.factor, st.amplitudes)
+    assert not rho.factor.flags.writeable and not rho.rho.flags.writeable

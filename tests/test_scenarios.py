@@ -139,6 +139,7 @@ def _out_of_range_cases():
             if spec.high < math.inf:
                 yield scenario, key, str(spec.high + 1)
     yield "potential-scan", "coupling.g", "-1"
+    yield "potential-scan", "potential.samples", "10000000000000000000"  # past what numpy can size
     for scenario in ("free-check", "two-packet-decoherence", "perturbative-crosscheck"):
         yield scenario, "grid.n", "100"
         yield scenario, "grid.x_max", "-30"
@@ -201,11 +202,22 @@ def test_absorbing_boundary_rejected_at_load_time(tmp_path, capsys):
 def test_full_observer_solves_one_spectrum_per_record(monkeypatch):
     grid = make_grid(-8.0, 8.0, 64)
     state = gaussian_product_metastate(grid, 0.0, 0.8, 0.0)
-    calls = []
-    real = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or real(a))
+    calls = {"svd": 0, "eigvalsh": 0}
+
+    def counting(name):
+        real = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name))
     obs = _full_observer(3.2)(state)
-    assert len(calls) == 1
+    # one range finder (one small SVD at the first rank) and no dense spectrum
+    assert calls == {"svd": 1, "eigvalsh": 0}
     assert obs.checks["min_eigenvalue"] > -1e-10
     assert abs(obs.report.von_neumann_entropy) < 1e-6
 
@@ -442,8 +454,9 @@ COW_ARGV = {"--mass": "1e-20", "--radius": "1e-9", "--L": "0.05", "--v": "100.0"
 BAD_FLAG_VALUES = [
     *(("potential", flag, value) for flag in ("--mass", "--radius", "--r-max") for value in ("0", "-1", "inf", "nan")),
     ("potential", "--samples", "1"),
+    ("potential", "--samples", "10000000000000000000"),
     *(("cow", flag, value) for flag in ("--mass", "--radius", "--L", "--v") for value in ("0", "-1", "inf", "nan")),
-    *(("cow", "--delta-sweep", sweep) for sweep in ("0:6.3:1", "0:inf:8", "nan:6.3:8")),
+    *(("cow", "--delta-sweep", sweep) for sweep in ("0:6.3:1", "0:inf:8", "nan:6.3:8", "0:1e-33:10000000000000000000")),
 ]
 
 
