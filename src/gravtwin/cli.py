@@ -10,6 +10,7 @@ threads); it never changes results, only speed.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -33,7 +34,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # Built on first use, not at import, and shared by later calls:
+    # parse_args keeps no state on the parser between calls.
     parser = _Parser(prog="gravtwin", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
 

@@ -108,8 +108,9 @@ def _actions_cached(
 
 
 def _actions(cfg: InterferometerConfig) -> tuple[float, float]:
-    # delta plays no role in the action constants; cache on the geometry
-    # so sweeps do not repeat the quadrature cross-check per point.
+    # The actions are cached per geometry (species, units, v, T): delta
+    # plays no role in them, so a sweep runs the closed form and its
+    # quadrature cross-check once, not once per point.
     return _actions_cached(cfg.species, cfg.units, cfg.v, cfg.T)
 
 

@@ -29,6 +29,25 @@ _ACTION_AGREEMENT_RTOL = 1e-10
 PERTURBATIVE_WINDOW = 0.1
 
 
+def _core_branch(r, G: float, m: float, R: float):
+    """V(r) for r < 2R; r is a float or an array of separations."""
+    return (
+        0.5 * G * m * m
+        * (80.0 * R**3 * r**2 - 30.0 * R**2 * r**3 + r**5 - 192.0 * R**5)
+        / (160.0 * R**6)
+    )
+
+
+def _tail_branch(r, G: float, m: float):
+    """V(r) for r >= 2R; r is a float or an array of separations."""
+    return -0.5 * G * m * m / r
+
+
+def _float_value(r: float, G: float, m: float, R: float) -> float:
+    """V(r) on a plain float, branch chosen as `PairPotential.evaluate` does."""
+    return _core_branch(r, G, m, R) if r < 2.0 * R else _tail_branch(r, G, m)
+
+
 @dataclass(frozen=True)
 class SeparatingAction:
     """Separating-arm action, computed by both routes.
@@ -62,14 +81,8 @@ class PairPotential:
         R = self.species.radius
         out = np.empty_like(arr)
         inside = arr < 2.0 * R
-        ri = arr[inside]
-        out[inside] = (
-            0.5 * G * m * m
-            * (80.0 * R**3 * ri**2 - 30.0 * R**2 * ri**3 + ri**5 - 192.0 * R**5)
-            / (160.0 * R**6)
-        )
-        ro = arr[~inside]
-        out[~inside] = -0.5 * G * m * m / ro
+        out[inside] = _core_branch(arr[inside], G, m, R)
+        out[~inside] = _tail_branch(arr[~inside], G, m)
         if np.ndim(r) == 0:
             return float(out)
         return out
@@ -120,7 +133,12 @@ class PairPotential:
             decades = max(1, math.ceil(math.log10(t_half / t_break)))
             ratio = t_half / t_break
             edges.extend(t_break * ratio ** (j / decades) for j in range(1, decades + 1))
-        integrand = lambda t: self.evaluate(math.sqrt(2.0) * v * t)
+        # V on plain floats, not through `evaluate`: its array route costs
+        # ~100x more per scalar, and quad samples ~10^3 points per geometry.
+        G = self.units.G
+        m = self.species.mass
+        speed = math.sqrt(2.0) * v
+        integrand = lambda t: _float_value(speed * t, G, m, R)
         total = 0.0
         for a, b in zip(edges, edges[1:]):
             if b <= a:

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from gravtwin import (
+    InterferometerConfig,
     PairPotential,
     ParticleSpecies,
     UnitSystem,
     ValidationError,
     make_grid,
 )
+from gravtwin.potential import _float_value
 
 # Frozen from an independent 40-digit decimal evaluation of the closed
 # forms (notes kept outside the package).
@@ -189,3 +191,58 @@ def test_action_argument_validation():
         pair.action_integral_separating(v=1.0, T=-1.0)
     with pytest.raises(ValidationError):
         pair.action_coincident(T=0.0)
+
+
+# Corners of the benchmark's geometry-scan range, SI units.
+SCAN_MASSES = (1e-27, 1e-24)        # kg
+SCAN_RADII = (1e-15, 1e-9)          # m
+SCAN_ARMS = (0.02, 1.0)             # m
+SCAN_SPEEDS = (10**1.5, 10**3.5)    # m/s
+
+
+@pytest.mark.parametrize("mass", SCAN_MASSES)
+@pytest.mark.parametrize("radius", SCAN_RADII)
+def test_float_branches_match_evaluate(mass, radius):
+    # The quadrature integrand runs on plain floats, evaluate on arrays;
+    # both use the same branch formulas.  At these points, the branch
+    # point included, the float path must match evaluate bit for bit.
+    # Elsewhere in the core numpy's vectorised pow may round r**3 or r**5
+    # one ulp away from libm's; the 1e-10 quadrature gate absorbs that.
+    pair = PairPotential(ParticleSpecies(mass=mass, radius=radius), UnitSystem.si())
+    two_r = 2.0 * radius
+    for r in (0.0, two_r * (1.0 - 1e-12), two_r, two_r * (1.0 + 1e-12), 1e6 * radius):
+        got = _float_value(r, pair.units.G, mass, radius)
+        assert isinstance(got, float)
+        assert got == pair.evaluate(r), r
+
+
+@pytest.mark.parametrize("mass", SCAN_MASSES)
+@pytest.mark.parametrize("radius", SCAN_RADII)
+@pytest.mark.parametrize("L", SCAN_ARMS)
+@pytest.mark.parametrize("v", SCAN_SPEEDS)
+def test_quadrature_agrees_at_geometry_scan_corners(mass, radius, L, v):
+    # R = 1e-15, L = 1, v = 10^1.5 spans about 15 decades of flight time
+    # beyond the branch point, one quadrature panel each.
+    pair = PairPotential(ParticleSpecies(mass=mass, radius=radius), UnitSystem.si())
+    T = InterferometerConfig(pair.species, L=L, v=v, delta=0.0, units=pair.units).T
+    act = pair.action_integral_separating(v=v, T=T)
+    assert act.closed_form > 0.0
+    np.testing.assert_allclose(act.quadrature, act.closed_form, rtol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "pair, v, T",
+    [
+        (neutron_pair()[1], 2.2e3, 2 * 0.10 / 2.2e3),
+        (dimensionless_pair(), 1.0, 1.0),  # the core regime: no tail panel
+    ],
+    ids=["neutron", "core-regime"],
+)
+def test_quadrature_catches_a_wrong_closed_form(monkeypatch, pair, v, T):
+    # A closed form off by 1e-9 relative must trip the 1e-10 gate.
+    exact = PairPotential._antiderivative
+    monkeypatch.setattr(
+        PairPotential, "_antiderivative", lambda self, s: (1.0 + 1e-9) * exact(self, s)
+    )
+    with pytest.raises(ArithmeticError, match="disagree"):
+        pair.action_integral_separating(v=v, T=T)

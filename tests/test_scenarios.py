@@ -25,6 +25,7 @@ from gravtwin import (
     parse_config,
     run,
     separated_product_state,
+    __version__,
 )
 from gravtwin.config import SCHEMAS
 from gravtwin.potential import PERTURBATIVE_WINDOW
@@ -299,6 +300,24 @@ def test_cli_version(capsys):
     assert cli.main(["version"]) == 0
     out = capsys.readouterr().out
     assert "gravtwin" in out
+
+
+def test_cli_calls_share_no_parse_state(tmp_path, capsys):
+    # One process, one parser: a failed parse must not leak into the next call.
+    out = tmp_path / "cow.csv"
+    cow = ["cow", "--delta-sweep", "0:1.3e-33:8", "--preset", "neutron", "--out", str(out)]
+    assert cli.main([*cow, "--bogus"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("invalid input: ") and "--bogus" in captured.err
+    assert captured.out == "" and not out.exists()
+    assert cli.main(cow) == 0
+    captured = capsys.readouterr()
+    assert captured.out == f"wrote 8 sweep points to {out}\n" and captured.err == ""
+    assert len(out.read_text().splitlines()) == 9
+    assert cli.main(["version"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == f"gravtwin {__version__}\n" and captured.err == ""
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_cli_run_ok(tmp_path, capsys):
