@@ -17,14 +17,14 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .config import SCHEMAS, ConfigError, _coerce, load_config
+from .config import SCHEMAS, ConfigError, _coerce, check_sweep_order, load_config
 from .core import ParticleSpecies, UnitSystem, ValidationError
 from .evolve import NumericalAbort
 from .interferometer import InterferometerConfig, cow_neutron_preset
 # Unused here, but perfbench/child.py wraps correction under this name.
 from .interferometer import correction  # noqa: F401
 from .potential import PairPotential
-from .scenarios import _cow_sweep, csv_bytes, run
+from .scenarios import _POTENTIAL_COLUMNS, _cow_sweep, _potential_table, csv_bytes, run
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,8 +77,7 @@ def _parse_sweep(text: str) -> tuple[float, float, int]:
         _coerce("--delta-sweep", keys[key], part)
         for key, part in zip(("cow.delta_start", "cow.delta_stop", "cow.delta_points"), parts)
     )
-    if not stop > start:
-        raise ConfigError(f"--delta-sweep: needs STOP > START, got {text!r}")
+    check_sweep_order("--delta-sweep", start, stop)
     return start, stop, n
 
 
@@ -97,8 +96,8 @@ def _cmd_potential(args) -> int:
     )
     pair = PairPotential(species=species, units=UnitSystem.si())
     samples = _coerce("--samples", keys["potential.samples"], args.samples)
-    r = np.linspace(0.0, _coerce("--r-max", keys["potential.r_max"], args.r_max), samples)
-    Path(args.out).write_bytes(csv_bytes(("r", "V_G"), zip(r, pair.evaluate(r))))
+    r, vals = _potential_table(pair, _coerce("--r-max", keys["potential.r_max"], args.r_max), samples)
+    Path(args.out).write_bytes(csv_bytes(_POTENTIAL_COLUMNS, zip(r, vals)))
     print(f"wrote {samples} samples to {args.out}")
     return 0
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,18 +22,11 @@ from .core import (
     ParticleSpecies,
     UnitSystem,
     ValidationError,
+    check_packet_width,
     make_grid,
 )
 from .evolve import EvolutionConfig
 from .interferometer import cow_neutron_preset
-
-SCENARIOS = (
-    "potential-scan",
-    "free-check",
-    "two-packet-decoherence",
-    "perturbative-crosscheck",
-    "cow-sweep",
-)
 
 _DELTA_STOP_DEFAULT = 4.0 * math.pi * HBAR_SI  # two fringe periods
 _NEUTRON = cow_neutron_preset()
@@ -97,9 +91,10 @@ _SPECIES_KEYS = {
 }
 
 _COMMON = {
-    "scenario": _Key("word", None, SCENARIOS),
+    "scenario": _Key("word", None),  # parse_config checks it against the SCHEMAS keys
 }
 
+# The scenarios are the keys of SCHEMAS, each with the keys its config may set.
 SCHEMAS: dict[str, dict[str, _Key]] = {
     "potential-scan": {
         **_COMMON,
@@ -240,7 +235,7 @@ def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
         raise ConfigError(f"{source}: missing required key 'scenario'")
     if scenario not in SCHEMAS:
         raise ConfigError(
-            f"scenario: must be one of {', '.join(SCENARIOS)}; got {scenario!r}"
+            f"scenario: must be one of {', '.join(SCHEMAS)}; got {scenario!r}"
         )
     schema = SCHEMAS[scenario]
     unknown = sorted(set(raw) - set(schema))
@@ -269,6 +264,21 @@ def load_config(path: str | Path) -> ScenarioConfig:
     return parse_config(text, source=str(p))
 
 
+@contextmanager
+def _named(key: str):
+    """Report a ValidationError raised inside the block as a ConfigError on key."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
+def check_sweep_order(name: str, start: float, stop: float) -> None:
+    """Reject a delta sweep whose stop does not exceed its start, naming key or flag."""
+    if not stop > start:
+        raise ConfigError(f"{name}: the stop must exceed the start, got {start!r} to {stop!r}")
+
+
 def _build(scenario: str, values: dict[str, object]) -> ScenarioConfig:
     """The config from typed, in-range values; the rules that tie keys together live here."""
     if scenario == "cow-sweep":
@@ -280,43 +290,30 @@ def _build(scenario: str, values: dict[str, object]) -> ScenarioConfig:
                         f"{key}: conflicts with cow.preset = neutron; "
                         "set cow.preset = custom to override the geometry"
                     )
-        start, stop = values["cow.delta_start"], values["cow.delta_stop"]
-        if not stop > start:
-            raise ConfigError(
-                f"cow.delta_stop: must exceed cow.delta_start ({stop!r} <= {start!r})"
-            )
+        check_sweep_order("cow.delta_stop", values["cow.delta_start"], values["cow.delta_stop"])
         species = ParticleSpecies(mass=values["cow.mass"], radius=values["cow.radius"])
         return ScenarioConfig(scenario, UnitSystem.si(), species, values)
 
-    g = values.get("coupling.g", 0.0)
-    if g < 0:
-        raise ConfigError(f"coupling.g: must be >= 0, got {g!r}")
-    units = UnitSystem.dimensionless(g)
+    with _named("coupling.g"):
+        units = UnitSystem.dimensionless(values.get("coupling.g", 0.0))
     # free-check runs at G = 0, where the radius has no effect: it stays the unit length.
     species = ParticleSpecies(mass=values["species.mass"], radius=values.get("species.radius", 1.0))
     if scenario == "potential-scan":
         return ScenarioConfig(scenario, units, species, values)
 
     x_min, x_max = values["grid.x_min"], values["grid.x_max"]
-    try:
+    with _named("grid.x_max" if x_max <= x_min else "grid.n"):
         grid = make_grid(x_min, x_max, values["grid.n"])
-    except ValidationError as exc:
-        raise ConfigError(f"{'grid.x_max' if x_max <= x_min else 'grid.n'}: {exc}") from None
     evolution = EvolutionConfig(
         dt=values["evolution.dt"],
         steps=values["evolution.steps"],
         record_every=values["evolution.record_every"],
     )
-    try:
+    with _named("evolution.dt"):
         evolution.check_stability(grid, species.mass, units.hbar)
-    except ValidationError as exc:
-        raise ConfigError(f"evolution.dt: {exc}") from None
-
     width = values["packet.width"]
-    if width <= 2.0 * grid.dx:
-        raise ConfigError(
-            f"packet.width: {width!r} under-resolved on this grid (need > {2.0 * grid.dx})"
-        )
+    with _named("packet.width"):
+        check_packet_width(grid, width)
     if "packet.separation" in values and values["packet.separation"] <= 2.0 * width:
         raise ConfigError(
             f"packet.separation: {values['packet.separation']!r} too small; "

@@ -53,8 +53,8 @@ class UnitSystem:
             raise ValidationError("dimensionless mode requires hbar = 1")
 
     @classmethod
-    def si(cls, G: float = NEWTON_G_SI) -> "UnitSystem":
-        return cls(hbar=HBAR_SI, G=G, mode="SI")
+    def si(cls) -> "UnitSystem":
+        return cls(hbar=HBAR_SI, G=NEWTON_G_SI, mode="SI")
 
     @classmethod
     def dimensionless(cls, g: float) -> "UnitSystem":
@@ -181,14 +181,19 @@ class ExternalPotential:
         return np.zeros_like(x)
 
 
-def _normalized_packet(
-    grid: Grid1D, center: float, width: float, momentum: float, hbar: float
-) -> tuple[NDArray[np.complex128], float]:
-    """Checked, normalized packet samples and the grid norm they were divided by."""
+def check_packet_width(grid: Grid1D, width: float) -> None:
+    """Reject a packet width the grid cannot resolve: it must exceed 2 dx."""
     if not (math.isfinite(width) and width > 2.0 * grid.dx):
         raise ValidationError(
             f"width {width!r} under-resolved: need width > 2 dx = {2.0 * grid.dx}"
         )
+
+
+def _normalized_packet(
+    grid: Grid1D, center: float, width: float, momentum: float, hbar: float
+) -> tuple[NDArray[np.complex128], float]:
+    """Checked, normalized packet samples and the grid norm they were divided by."""
+    check_packet_width(grid, width)
     psi = np.exp(-((grid.x - center) ** 2) / (4.0 * width**2) + 1j * momentum * grid.x / hbar)
     nrm = math.sqrt(float(np.vdot(psi, psi).real) * grid.dx)
     if nrm == 0.0:

@@ -104,6 +104,10 @@ def _actions_cached(
         return 0.0, 0.0
     s0 = pair.action_coincident(T)
     s1 = pair.action_integral_separating(v, T).closed_form
+    if not (math.isfinite(s0 / units.hbar) and math.isfinite(s1 / units.hbar)):
+        raise ValidationError(
+            f"pair actions over hbar leave the float range: S0 = {s0!r}, S1 = {s1!r}"
+        )
     return s0, s1
 
 

@@ -71,6 +71,19 @@ class PairPotential:
     species: ParticleSpecies
     units: UnitSystem
 
+    def __post_init__(self) -> None:
+        # G m^2 and 160 R^6 scale both branches; outside the float range V is inf or nan.
+        R = self.species.radius
+        gm2 = self.units.G * self.species.mass * self.species.mass
+        try:
+            r6 = 160.0 * R**6
+        except OverflowError:
+            r6 = math.inf
+        if not (math.isfinite(gm2) and math.isfinite(r6) and r6 > 0):
+            raise ValidationError(
+                f"pair potential leaves the float range: G m^2 = {gm2!r}, 160 R^6 = {r6!r}"
+            )
+
     def evaluate(self, r):
         """V(r); scalar in, scalar out; arrays are mapped elementwise."""
         arr = np.asarray(r, dtype=np.float64)
@@ -130,8 +143,12 @@ class PairPotential:
         t_break = 2.0 * R / (math.sqrt(2.0) * v)
         edges = [0.0, min(t_break, t_half)]
         if t_half > t_break:
-            decades = max(1, math.ceil(math.log10(t_half / t_break)))
-            ratio = t_half / t_break
+            ratio = t_half / t_break if t_break > 0 else math.inf
+            if not math.isfinite(ratio):
+                raise ValidationError(
+                    f"separating action: panel ratio t_half / t_break = {ratio!r} is not finite"
+                )
+            decades = max(1, math.ceil(math.log10(ratio)))
             edges.extend(t_break * ratio ** (j / decades) for j in range(1, decades + 1))
         # V on plain floats, not through `evaluate`: its array route costs
         # ~100x more per scalar, and quad samples ~10^3 points per geometry.

@@ -48,6 +48,13 @@ from .reduction import DecoherenceReport, decoherence_report, partial_trace, str
 
 TIMESERIES_COLUMNS = ("t", "norm", "purity", "linear_entropy", "vn_entropy", "coherence_offdiag")
 _COW_COLUMNS = ("delta", "prob_zeroth", "re_Aa_star", "im_Aa_star", "S_G0", "S_G1")
+_POTENTIAL_COLUMNS = ("r", "V_G")
+
+
+def _potential_table(pair: PairPotential, r_max: float, samples: int) -> tuple[NDArray, NDArray]:
+    """The rows of _POTENTIAL_COLUMNS: V at `samples` evenly spaced r on [0, r_max]."""
+    r = np.linspace(0.0, r_max, samples)
+    return r, pair.evaluate(r)
 
 
 @dataclass(frozen=True)
@@ -94,15 +101,18 @@ def _npy_bytes(arr: NDArray) -> bytes:
     return buf.getvalue()
 
 
-def _sidecar(grid: Grid1D, time: float, units: UnitSystem, name: str, arr: NDArray) -> dict:
-    return {
+def _emit_field(emit: _Emitter, cfg: ScenarioConfig, stem: str, name: str, time: float, arr: NDArray) -> None:
+    """Write field `name` on the run's grid as stem.npy plus its JSON sidecar stem.json."""
+    grid = cfg.grid
+    emit.emit(f"{stem}.npy", _npy_bytes(arr))
+    emit.emit(f"{stem}.json", _json_bytes({
         "field": name,
         "time": time,
-        "units_mode": units.mode,
+        "units_mode": cfg.units.mode,
         "dtype": str(arr.dtype),
         "shape": list(arr.shape),
         "grid": {"x_min": grid.x_min, "x_max": grid.x_max, "n": grid.n, "dx": grid.dx},
-    }
+    }))
 
 
 @dataclass(frozen=True)
@@ -137,6 +147,17 @@ def _timeseries_rows(times, observed: Sequence[_Observation]):
         yield (t, o.checks["norm"], r.purity, r.linear_entropy, r.von_neumann_entropy, r.coherence_offdiag)
 
 
+def _observed_run(cfg: ScenarioConfig, emit: _Emitter, state: SeparatedState, g: float, name: str):
+    """Times and full observations of state evolved at coupling g; the time series goes to CSV name."""
+    pair = PairPotential(species=cfg.species, units=UnitSystem.dimensionless(g))
+    observer = _full_observer(cfg.values["report.d_cut"])
+    record = evolve(state, ExternalPotential.null(), pair, cfg.evolution, observer=observer)
+    observed = record.reduced_observables
+    assert observed is not None
+    emit.emit(name, csv_bytes(TIMESERIES_COLUMNS, _timeseries_rows(record.times, observed)))
+    return record.times, observed
+
+
 def _two_packet_state(cfg: ScenarioConfig) -> SeparatedState:
     half = 0.5 * cfg.values["packet.separation"]
     return separated_product_state(
@@ -156,9 +177,8 @@ def _density_moments(grid: Grid1D, density: NDArray) -> tuple[float, float]:
 
 def _run_potential_scan(cfg: ScenarioConfig, emit: _Emitter) -> dict:
     pair = PairPotential(species=cfg.species, units=cfg.units)
-    r = np.linspace(0.0, cfg.values["potential.r_max"], cfg.values["potential.samples"])
-    vals = pair.evaluate(r)
-    emit.emit("potential.csv", csv_bytes(("r", "V_G"), zip(r, vals)))
+    r, vals = _potential_table(pair, cfg.values["potential.r_max"], cfg.values["potential.samples"])
+    emit.emit("potential.csv", csv_bytes(_POTENTIAL_COLUMNS, zip(r, vals)))
 
     G, m, R = cfg.units.G, cfg.species.mass, cfg.species.radius
     scale = G * m * m / R
@@ -184,36 +204,25 @@ def _run_free_check(cfg: ScenarioConfig, emit: _Emitter) -> dict:
     center = cfg.values["packet.center"]
     momentum = cfg.values["packet.momentum"]
     state = separated_product_state(grid, (center,), width, momentum, hbar=cfg.units.hbar)
-    pair = PairPotential(species=cfg.species, units=cfg.units)  # G = 0 here
-
-    observer = _full_observer(cfg.values["report.d_cut"])
-    record = evolve(state, ExternalPotential.null(), pair, cfg.evolution, observer=observer)
-    observed = record.reduced_observables
-    assert observed is not None
-
-    emit.emit("timeseries.csv", csv_bytes(TIMESERIES_COLUMNS, _timeseries_rows(record.times, observed)))
+    times, observed = _observed_run(cfg, emit, state, cfg.units.G, "timeseries.csv")  # G = 0 here
 
     # Free-packet oracle: variance s^2(t) = s0^2 (1 + (hbar t / 2 m s0^2)^2),
     # center drifting at momentum / mass.
     hbar, mass = cfg.units.hbar, cfg.species.mass
     worst_var = 0.0
-    for t, o in zip(record.times, observed):
+    for t, o in zip(times, observed):
         _, var = _density_moments(grid, o.report.position_density)
         exact = width**2 * (1.0 + (hbar * t / (2.0 * mass * width**2)) ** 2)
         worst_var = max(worst_var, abs(var - exact) / exact)
 
-    t_end = float(record.times[-1])
+    t_end = float(times[-1])
     sig2 = width**2 * (1.0 + (hbar * t_end / (2.0 * mass * width**2)) ** 2)
     mu = center + momentum / mass * t_end
     exact_density = np.exp(-((grid.x - mu) ** 2) / (2.0 * sig2)) / math.sqrt(2.0 * math.pi * sig2)
     final_density = observed[-1].report.position_density
     density_err = float(np.max(np.abs(final_density - exact_density)) / np.max(exact_density))
 
-    emit.emit("density_final.npy", _npy_bytes(final_density))
-    emit.emit(
-        "density_final.json",
-        _json_bytes(_sidecar(grid, t_end, cfg.units, "position_density", final_density)),
-    )
+    _emit_field(emit, cfg, "density_final", "position_density", t_end, final_density)
 
     doubling_time = math.sqrt(3.0) * 2.0 * mass * width**2 / hbar
     return {
@@ -228,7 +237,6 @@ def _run_free_check(cfg: ScenarioConfig, emit: _Emitter) -> dict:
 
 def _run_two_packet(cfg: ScenarioConfig, emit: _Emitter) -> dict:
     assert cfg.grid is not None and cfg.evolution is not None
-    grid = cfg.grid
     d_cut = cfg.values["report.d_cut"]
     g_demo = cfg.units.G
     couplings = sorted(set(cfg.values["scan.couplings"]) | {g_demo})
@@ -237,21 +245,13 @@ def _run_two_packet(cfg: ScenarioConfig, emit: _Emitter) -> dict:
     per_g: dict[float, dict] = {}
     checks: list[dict[str, float]] = []
     for g in couplings:
-        units_g = UnitSystem.dimensionless(g)
-        pair = PairPotential(species=cfg.species, units=units_g)
-        record = evolve(state, ExternalPotential.null(), pair, cfg.evolution, observer=_full_observer(d_cut))
-        observed = record.reduced_observables
-        assert observed is not None
-        emit.emit(
-            f"timeseries_g{g!r}.csv",
-            csv_bytes(TIMESERIES_COLUMNS, _timeseries_rows(record.times, observed)),
-        )
+        times, observed = _observed_run(cfg, emit, state, g, f"timeseries_g{g!r}.csv")
         purities = [o.report.purity for o in observed]
         # Initial decay rate: purity lost per unit time over the first tenth of the run.
-        t0 = float(record.times[0])
-        horizon = t0 + 0.1 * (float(record.times[-1]) - t0)
-        k = next(i for i, t in enumerate(record.times) if t >= horizon)
-        rate = (purities[0] - purities[k]) / (float(record.times[k]) - t0)
+        t0 = float(times[0])
+        horizon = t0 + 0.1 * (float(times[-1]) - t0)
+        k = next(i for i, t in enumerate(times) if t >= horizon)
+        rate = (purities[0] - purities[k]) / (float(times[k]) - t0)
         per_g[g] = {
             "final_purity": purities[-1],
             "min_purity": min(purities),
@@ -262,11 +262,7 @@ def _run_two_packet(cfg: ScenarioConfig, emit: _Emitter) -> dict:
         checks.extend(o.checks for o in observed)
         if g == g_demo:
             dens = observed[-1].report.position_density
-            emit.emit("rho_diag_final.npy", _npy_bytes(dens))
-            emit.emit(
-                "rho_diag_final.json",
-                _json_bytes(_sidecar(grid, float(record.times[-1]), units_g, "rho_diagonal", dens)),
-            )
+            _emit_field(emit, cfg, "rho_diag_final", "rho_diagonal", float(times[-1]), dens)
 
     rates = [per_g[g]["initial_decay_rate"] for g in couplings]
     return {

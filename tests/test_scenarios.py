@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import gravtwin.cli as cli
+import gravtwin.scenarios as scenarios
 from gravtwin import (
     ConfigError,
     ExternalPotential,
@@ -144,6 +145,8 @@ def _out_of_range_cases():
     for scenario in ("free-check", "two-packet-decoherence", "perturbative-crosscheck"):
         yield scenario, "grid.n", "100"
         yield scenario, "grid.x_max", "-30"
+        yield scenario, "packet.width", "0.1"  # under 2 dx on every default grid
+    yield "cow-sweep", "cow.delta_stop", "0"  # not past cow.delta_start
 
 
 @pytest.mark.parametrize("scenario,key,value", list(_out_of_range_cases()))
@@ -151,6 +154,10 @@ def test_out_of_range_value_names_its_key(scenario, key, value):
     with pytest.raises(ConfigError) as err:
         parse_config(f"scenario = {scenario}\n{key} = {value}\n")
     assert str(err.value).startswith(f"{key}: ")
+
+
+def test_every_schema_has_a_runner():
+    assert set(scenarios._DISPATCH) == set(SCHEMAS)
 
 
 def test_under_resolved_packet_rejected():
@@ -456,6 +463,38 @@ def test_cli_cow_bad_sweep(tmp_path, capsys):
     assert not (tmp_path / "c.csv").exists()
 
 
+# In-range species values whose pair potential or actions leave the float range.
+OUT_OF_FLOAT_RANGE = [
+    "potential --mass 1e200 --radius 1 --r-max 10 --samples 4",  # G m^2 overflows
+    "potential --mass 1e-27 --radius 1e-60 --r-max 1e-59 --samples 4",  # R^6 underflows
+    "potential --mass 1 --radius 1e60 --r-max 1 --samples 4",  # R^6 overflows
+    "cow --mass 1e200 --radius 1e-15 --L 1 --v 1 --delta-sweep 0:1e-33:4",
+    "cow --mass 1e150 --radius 1 --L 1e10 --v 1e-10 --delta-sweep 0:1e-33:4",  # S0 overflows
+    "cow --mass 1e150 --radius 1 --L 1 --v 1 --delta-sweep 0:1e-33:4",  # S0 / hbar overflows
+    "cow --mass 1e-27 --radius 1e-60 --L 0.1 --v 100 --delta-sweep 0:1e-33:4",
+    "cow --mass 1e-27 --radius 1e-15 --L 1e300 --v 1e300 --delta-sweep 0:1e-33:4",  # panel ratio
+    "run cow-sweep with cow.preset = custom and cow.mass = 1e200",
+]
+
+
+@pytest.mark.parametrize("command", OUT_OF_FLOAT_RANGE)
+def test_out_of_float_range_species_is_invalid_input(tmp_path, capsys, command):
+    run_dir = tmp_path / "run"
+    if command.startswith("run "):
+        cfg_file = tmp_path / "cow.cfg"
+        cfg_file.write_text("scenario = cow-sweep\ncow.preset = custom\ncow.mass = 1e200\n")
+        argv = ["run", "--config", str(cfg_file), "--out", str(run_dir)]
+    else:
+        argv = [*command.split(), "--out", str(tmp_path / "x.csv")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ") and err.count("\n") == 1
+    assert not list(tmp_path.rglob("*.csv"))
+    if command.startswith("run "):
+        assert read_manifest(run_dir)["status"] == "error"
+        assert not (run_dir / "summary.json").exists()
+
+
 @pytest.mark.parametrize("r_max", ["0", "-1e-15", "inf", "nan"])
 def test_cli_potential_rejects_bad_r_max(tmp_path, capsys, r_max):
     out = tmp_path / "v.csv"
@@ -475,7 +514,7 @@ BAD_FLAG_VALUES = [
     ("potential", "--samples", "1"),
     ("potential", "--samples", "10000000000000000000"),
     *(("cow", flag, value) for flag in ("--mass", "--radius", "--L", "--v") for value in ("0", "-1", "inf", "nan")),
-    *(("cow", "--delta-sweep", sweep) for sweep in ("0:6.3:1", "0:inf:8", "nan:6.3:8", "0:1e-33:10000000000000000000")),
+    *(("cow", "--delta-sweep", sweep) for sweep in ("0:6.3:1", "0:inf:8", "nan:6.3:8", "0:1e-33:10000000000000000000", "1:0:8", "0:0:8")),
 ]
 
 
