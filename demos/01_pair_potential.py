@@ -2,45 +2,38 @@
 
 The interaction between the two copies is half the potential of two
 overlapping uniform spheres: quintic inside r < 2R, Kepler tail outside.
-Run me from the repository root:
+This runs the potential-scan scenario with 2001 samples on [0, 10R] and
+copies its table to pair_potential.csv in the working directory:
 
     python demos/01_pair_potential.py
 """
-import numpy as np
+import json
+import shutil
+import tempfile
+from pathlib import Path
 
-from gravtwin import PairPotential, ParticleSpecies, UnitSystem
+from gravtwin import PairPotential, parse_config, run
 
-species = ParticleSpecies(mass=1.0, radius=1.0)
-units = UnitSystem.dimensionless(g=1.0)
-pair = PairPotential(species, units)
+cfg = parse_config("scenario = potential-scan\npotential.samples = 2001\n")
+with tempfile.TemporaryDirectory() as tmp:
+    run(cfg, tmp)
+    s = json.loads((Path(tmp) / "summary.json").read_text())
+    shutil.copyfile(Path(tmp) / "potential.csv", "pair_potential.csv")
 
 print("anchor values (units of g m^2 / R):")
-print(f"  V(0)   = {pair.evaluate(0.0):+.6f}   (depth at full overlap)")
-print(f"  V(R)   = {pair.evaluate(1.0):+.6f}")
-print(f"  V(2R)  = {pair.evaluate(2.0):+.6f}   (contact point)")
-print(f"  V(4R)  = {pair.evaluate(4.0):+.6f}   (= -1/(2 r) tail)")
-
-eps = 1e-9
-below = pair.evaluate(2.0 * (1 - eps))
-above = pair.evaluate(2.0 * (1 + eps))
-print(f"\nbranch continuity at 2R: gap = {abs(above - below):.3e}")
-
-r = np.linspace(0.0, 10.0, 2001)
-v = pair.evaluate(r)
-print(f"monotone non-decreasing over [0, 10R]: {bool(np.all(np.diff(v) >= 0))}")
-print(f"r * V(r) at r = 1000 R: {1e3 * pair.evaluate(1e3):+.6f}  (expect -0.5)")
-
-np.savetxt(
-    "pair_potential.csv",
-    np.column_stack([r, v]),
-    delimiter=",",
-    header="r,V_G",
-    comments="",
-)
+print(f"  V(0)   = {s['v_at_zero']:+.6f}   (depth at full overlap, rel err {s['golden_v0_rel_err']:.1e})")
+print(f"  V(2R)  = {s['v_at_contact']:+.6f}   (contact point, rel err {s['golden_contact_rel_err']:.1e})")
+print(f"\nbranch continuity at 2R: relative gap = {s['continuity_rel_gap']:.3e}")
+print(f"monotone non-decreasing over [0, 10R]: {s['monotone_nondecreasing']}")
+print(f"r * V(r) at r = 10 R: {s['r_v_product_at_r_max']:+.6f}  (tail -1/2)")
 print("\nwrote pair_potential.csv (2001 samples); plot r vs V_G to see both branches")
 
-# the same object also evaluates the action constants used downstream
+# the scan's species and units also give the action constants used downstream
+pair = PairPotential(cfg.species, cfg.units)
 act = pair.action_integral_separating(v=1.0, T=1.0)
 print(f"\nseparating action S1(v=1, T=1): closed form {act.closed_form:.12f}")
 print(f"                                quadrature  {act.quadrature:.12f}")
 print(f"coincident action S0(T=1):      {pair.action_coincident(T=1.0):.12f}")
+
+if not s["monotone_nondecreasing"]:
+    raise SystemExit("FAIL: the pair potential is not monotone non-decreasing")

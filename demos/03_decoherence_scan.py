@@ -3,51 +3,41 @@
 Both copies start in the same (L + R)/sqrt(2) superposition.  The pair
 interaction entangles physical and hidden coordinates, so tracing the
 hidden one out leaves a mixed physical state.  Purity decays faster at
-stronger coupling; the early-time rate scales like g^2.
+stronger coupling; the early-time rate scales like g^2.  The
+two-packet-decoherence scenario runs the scan, one coupling per run.
 """
-from gravtwin import (
-    EvolutionConfig,
-    ExternalPotential,
-    PairPotential,
-    ParticleSpecies,
-    UnitSystem,
-    decoherence_report,
-    evolve,
-    make_grid,
-    partial_trace,
-    separated_product_state,
-)
+import json
+import tempfile
+from pathlib import Path
 
-grid = make_grid(-16.0, 16.0, 256)
-species = ParticleSpecies(mass=1.0, radius=1.0)
-width, sep = 0.7, 8.0
+from gravtwin import parse_config, run
 
-# Both copies in the normalized L + R superposition, stepped as centre of
-# mass and separation; records see the gathered pair amplitude.
-state = separated_product_state(grid, (-sep / 2, sep / 2), width, 0.0)
+CONFIG = """
+scenario = two-packet-decoherence
+grid.n = 256
+scan.couplings = 0.125, 0.25, 0.5, 1.0
+evolution.steps = 600
+evolution.record_every = 100
+"""
 
-cfg = EvolutionConfig(dt=5e-4, steps=600, record_every=100)
-d_cut = 4 * width
+cfg = parse_config(CONFIG)
+with tempfile.TemporaryDirectory() as tmp:
+    run(cfg, tmp)
+    s = json.loads((Path(tmp) / "summary.json").read_text())
 
-
-def observer(s):
-    rep = decoherence_report(partial_trace(s), d_cut)
-    return {"purity": rep.purity, "coh": rep.coherence_offdiag}
-
-
-print(f"packet separation {sep} R, width {width}, {cfg.steps} steps of {cfg.dt}")
+v = cfg.values
+print(f"packet separation {v['packet.separation']} R, width {v['packet.width']}, "
+      f"{cfg.evolution.steps} steps of {cfg.evolution.dt}")
 print("\n   g      final purity    purity drop     early rate")
-rates = []
-for g in (0.125, 0.25, 0.5, 1.0):
-    units = UnitSystem.dimensionless(g=g)
-    pair = PairPotential(species, units)
-    rec = evolve(state, ExternalPotential.null(), pair, cfg, observer=observer)
-    purity = [o["purity"] for o in rec.reduced_observables]
-    # rate from the first recorded span
-    rate = (purity[0] - purity[1]) / (rec.times[1] - rec.times[0])
-    rates.append(rate)
-    print(f"  {g:5.3f}   {purity[-1]:.10f}   {1 - min(purity):.3e}   {rate:.3e}")
+for g in s["couplings"]:
+    p = s["per_coupling"][repr(g)]
+    print(f"  {g:5.3f}   {p['final_purity']:.10f}   {1 - p['min_purity']:.3e}   {p['initial_decay_rate']:.3e}")
 
+rates = s["decay_rates"]
+ratios = [b / a for a, b in zip(rates, rates[1:])]
 print("\nrate ratios between successive doublings (expect ~4, the g^2 law):")
-for a, b in zip(rates, rates[1:]):
-    print(f"  {b / a:.3f}")
+for r in ratios:
+    print(f"  {r:.3f}")
+
+if not (s["decay_rates_nondecreasing"] and all(3.5 <= r <= 4.5 for r in ratios)):
+    raise SystemExit("FAIL: the early decay rate does not follow the g^2 law")

@@ -2,45 +2,41 @@
 
 The product A a* of the unperturbed exit amplitude and the first-order
 correction comes out purely imaginary for every phase setting, so the
-exit probability keeps its ideal cos^2 shape at this order.  The sweep
-below evaluates the closed form and the brute-force enumeration over
-the four arm pairs side by side.
+exit probability keeps its ideal cos^2 shape at this order.  The
+cow-sweep scenario evaluates the closed form over a 500-point sweep of
+two fringe periods and the brute-force enumeration over the four arm
+pairs side by side.
 """
-import numpy as np
+import json
+import tempfile
+from pathlib import Path
 
-from gravtwin import (
-    correction,
-    cow_neutron_preset,
-    harmonic_coefficient_diff,
-    pair_enumeration_oracle,
-)
-from dataclasses import replace
+from gravtwin import parse_config, run
 
-HBAR = 1.054571817e-34
+cfg = parse_config("scenario = cow-sweep\ncow.delta_points = 500\n")
+with tempfile.TemporaryDirectory() as tmp:
+    run(cfg, tmp)
+    s = json.loads((Path(tmp) / "summary.json").read_text())
+    rows = (Path(tmp) / "cow.csv").read_text().splitlines()[1:]
 
-base = cow_neutron_preset()
-res0 = correction(base)
-print(f"geometry: L = {base.L} m, v = {base.v} m/s, T = {base.T:.3e} s")
-print(f"S_G0 = {res0.S_G0:.6e} J s   (S_G0 / hbar = {res0.S_G0 / HBAR:.3e})")
-print(f"S_G1 = {res0.S_G1:.6e} J s")
+print(f"geometry: L = {cfg.values['cow.L']} m, v = {cfg.values['cow.v']} m/s")
+print(f"S_G0 = {s['S_G0']:.6e} J s   (S_G0 / hbar = {s['S_G0_over_hbar']:.3e})")
+print(f"S_G1 = {s['S_G1']:.6e} J s")
 
-print("\n  delta/hbar   prob_zeroth    Re(A a*)      Im(A a*)        enum Im")
-for frac in (0.0, 0.25, 0.5, 0.75, 1.0, 1.5):
-    delta = frac * 2.0 * np.pi * HBAR
-    res = correction(replace(base, delta=delta))
-    orc = pair_enumeration_oracle(replace(base, delta=delta))
-    print(
-        f"  {frac * 2 * np.pi:9.4f}   {res.prob_zeroth:.8f}   {res.Aa_star.real:+.3e}"
-        f"   {res.Aa_star.imag:+.6e}   {orc.Aa_star.imag:+.6e}"
-    )
+print("\n  delta/hbar   prob_zeroth    Re(A a*)      Im(A a*)")
+for row in rows[::100] + rows[-1:]:
+    delta, prob, re, im = (float(v) for v in row.split(",")[:4])
+    print(f"  {delta / cfg.units.hbar:9.4f}   {prob:.8f}   {re:+.3e}   {im:+.6e}")
 
-sweep = np.linspace(0.0, 4.0 * np.pi * HBAR, 500)
-max_re = max(abs(correction(replace(base, delta=float(d))).Aa_star.real) for d in sweep)
-max_pc = max(abs(correction(replace(base, delta=float(d))).prob_correction) for d in sweep)
-print(f"\n500-point sweep: max |Re(A a*)| = {max_re:.1e}, max |prob correction| = {max_pc:.1e}")
+print(f"\n{len(rows)}-point sweep: max |Re(A a*)| = {s['max_abs_re_AaStar']:.1e}, "
+      f"max |prob correction| = {s['max_abs_prob_correction']:.1e}, "
+      f"enumeration max |Re(A a*)| = {s['enum_max_abs_re_AaStar']:.1e}")
 
-diff = harmonic_coefficient_diff(base)
+h = s["harmonic_coefficients"]
 print("\nharmonic coefficients of A a* (units of -i S0 / 4 hbar):")
 for key in ("const", "cos_delta", "cos_2delta"):
-    print(f"  {key:10s}  closed {diff.closed_form[key]:+.6f}   enum {diff.enumeration[key]:+.6f}")
-print(f"largest coefficient gap: {diff.max_abs_difference:.2e}")
+    print(f"  {key:10s}  closed {h['closed_form'][key]:+.6f}   enum {h['enumeration'][key]:+.6f}")
+print(f"largest coefficient gap: {h['max_abs_difference']:.2e}")
+
+if not (s["max_abs_re_AaStar"] == 0 and s["max_abs_prob_correction"] == 0):
+    raise SystemExit("FAIL: the first-order term reached the fringe probability")

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .config import SCHEMAS, ConfigError, _coerce, check_sweep_order, load_config
+from .config import SCHEMAS, ConfigError, _coerce, check_sweep, load_config
 from .core import ParticleSpecies, UnitSystem, ValidationError
 from .evolve import NumericalAbort
 from .interferometer import InterferometerConfig, cow_neutron_preset
@@ -68,7 +68,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_sweep(text: str) -> tuple[float, float, int]:
+def _parse_sweep(text: str, base: InterferometerConfig) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"--delta-sweep: expects START:STOP:N, got {text!r}")
@@ -77,7 +77,7 @@ def _parse_sweep(text: str) -> tuple[float, float, int]:
         _coerce("--delta-sweep", keys[key], part)
         for key, part in zip(("cow.delta_start", "cow.delta_stop", "cow.delta_points"), parts)
     )
-    check_sweep_order("--delta-sweep", start, stop)
+    check_sweep(base, start, stop, "--delta-sweep", "--delta-sweep")
     return start, stop, n
 
 
@@ -122,7 +122,7 @@ def _cmd_cow(args) -> int:
             delta=0.0,
             units=UnitSystem.si(),
         )
-    start, stop, n = _parse_sweep(args.delta_sweep)
+    start, stop, n = _parse_sweep(args.delta_sweep, base)
     Path(args.out).write_bytes(_cow_sweep(base, np.linspace(start, stop, n))[0])
     print(f"wrote {n} sweep points to {args.out}")
     return 0

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .core import (
@@ -26,7 +26,7 @@ from .core import (
     make_grid,
 )
 from .evolve import EvolutionConfig
-from .interferometer import cow_neutron_preset
+from .interferometer import InterferometerConfig, cow_neutron_preset
 
 _DELTA_STOP_DEFAULT = 4.0 * math.pi * HBAR_SI  # two fringe periods
 _NEUTRON = cow_neutron_preset()
@@ -273,10 +273,18 @@ def _named(key: str):
         raise ConfigError(f"{key}: {exc}") from None
 
 
-def check_sweep_order(name: str, start: float, stop: float) -> None:
-    """Reject a delta sweep whose stop does not exceed its start, naming key or flag."""
+def check_sweep(
+    base: InterferometerConfig, start: float, stop: float, start_name: str, stop_name: str
+) -> None:
+    """Reject a delta sweep of base whose ends base cannot take or whose stop does not exceed its start.
+
+    Each error starts with the key or flag of the end it names.
+    """
+    for name, delta in ((start_name, start), (stop_name, stop)):
+        with _named(name):
+            replace(base, delta=delta)
     if not stop > start:
-        raise ConfigError(f"{name}: the stop must exceed the start, got {start!r} to {stop!r}")
+        raise ConfigError(f"{stop_name}: the stop must exceed the start, got {start!r} to {stop!r}")
 
 
 def _build(scenario: str, values: dict[str, object]) -> ScenarioConfig:
@@ -290,9 +298,12 @@ def _build(scenario: str, values: dict[str, object]) -> ScenarioConfig:
                         f"{key}: conflicts with cow.preset = neutron; "
                         "set cow.preset = custom to override the geometry"
                     )
-        check_sweep_order("cow.delta_stop", values["cow.delta_start"], values["cow.delta_stop"])
         species = ParticleSpecies(mass=values["cow.mass"], radius=values["cow.radius"])
-        return ScenarioConfig(scenario, UnitSystem.si(), species, values)
+        units = UnitSystem.si()
+        base = InterferometerConfig(species=species, L=values["cow.L"], v=values["cow.v"], delta=0.0, units=units)
+        start, stop = values["cow.delta_start"], values["cow.delta_stop"]
+        check_sweep(base, start, stop, "cow.delta_start", "cow.delta_stop")
+        return ScenarioConfig(scenario, units, species, values)
 
     with _named("coupling.g"):
         units = UnitSystem.dimensionless(values.get("coupling.g", 0.0))

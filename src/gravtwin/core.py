@@ -181,6 +181,20 @@ class ExternalPotential:
         return np.zeros_like(x)
 
 
+def check_unit_norm(state: MetaState) -> None:
+    """Reject a state whose norm sits more than UNIT_NORM_TOL from 1; never renormalise.
+
+    A drift means mass left the grid or the evolution went wrong, so the
+    message names the time, the norm and the missing probability 1 - norm^2.
+    """
+    nrm = state.norm()
+    if abs(nrm - 1.0) > UNIT_NORM_TOL:
+        raise ValidationError(
+            f"expected a normalized state, got norm {nrm!r} at t = {state.time!r} "
+            f"(missing probability 1 - norm^2 = {1.0 - nrm * nrm:.3e})"
+        )
+
+
 def check_packet_width(grid: Grid1D, width: float) -> None:
     """Reject a packet width the grid cannot resolve: it must exceed 2 dx."""
     if not (math.isfinite(width) and width > 2.0 * grid.dx):

@@ -35,12 +35,12 @@ import scipy.fft as sfft
 from numpy.typing import NDArray
 
 from .core import (
-    UNIT_NORM_TOL,
     ExternalPotential,
     Grid1D,
     MetaState,
     SeparatedState,
     ValidationError,
+    check_unit_norm,
     separated_axes,
 )
 from .potential import PERTURBATIVE_WINDOW, PairPotential
@@ -223,9 +223,7 @@ def _engine_for(
         engine, start = _SeparatedEngine, state.metastate()
     else:
         engine, start = _GridEngine, state
-    nrm = start.norm()
-    if abs(nrm - 1.0) > UNIT_NORM_TOL:
-        raise ValidationError(f"expected a normalized state, got norm {nrm!r}")
+    check_unit_norm(start)
     cfg.check_stability(state.grid, pair.species.mass, pair.units.hbar)
     return engine, start
 

@@ -43,8 +43,11 @@ class InterferometerConfig:
             raise ValidationError(f"arm length must be finite and > 0, got {self.L!r}")
         if not (math.isfinite(self.v) and self.v > 0):
             raise ValidationError(f"beam speed must be finite and > 0, got {self.v!r}")
-        if not math.isfinite(self.delta):
-            raise ValidationError(f"delta must be finite, got {self.delta!r}")
+        # correction takes cos(2 delta / hbar), so 2 delta / hbar must stay a float.
+        if not math.isfinite(2.0 * (self.delta / self.units.hbar)):
+            raise ValidationError(
+                f"delta must be finite with 2 delta / hbar finite, got {self.delta!r}"
+            )
 
     @property
     def T(self) -> float:
@@ -138,7 +141,7 @@ def correction(cfg: InterferometerConfig) -> CorrectionResult:
     theta = 0.5 * cfg.delta / hbar
     big_delta = cfg.delta / hbar
     amp0 = complex(math.cos(theta))
-    prob0 = math.cos(theta) ** 2
+    prob0 = zeroth_order_probability(cfg)
     s0, s1 = _actions(cfg)
     if s0 == 0.0:
         return CorrectionResult(
@@ -275,13 +278,13 @@ def harmonic_coefficient_diff(cfg: InterferometerConfig) -> HarmonicCoefficientD
     return HarmonicCoefficientDiff(stated, projected, worst)
 
 
-def cow_neutron_preset(delta: float = 0.0) -> InterferometerConfig:
-    """Neutron two-arm setup at bench scale: 10 cm arms, thermal beam."""
+def cow_neutron_preset() -> InterferometerConfig:
+    """Neutron two-arm setup at bench scale: 10 cm arms, thermal beam, delta = 0."""
     return InterferometerConfig(
         species=ParticleSpecies(mass=1.675e-27, radius=1.0e-15),
         L=0.10,
         v=2.2e3,
-        delta=delta,
+        delta=0.0,
         units=UnitSystem.si(),
     )
 

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.linalg
 from numpy.typing import NDArray
 
-from .core import UNIT_NORM_TOL, Grid1D, MetaState, ValidationError
+from .core import UNIT_NORM_TOL, Grid1D, MetaState, ValidationError, check_unit_norm
 
 _HERMITICITY_TOL = 1e-10
 # Weights below this are excluded from p ln p.  The range finder stops once
@@ -133,16 +133,11 @@ def _leading_weights(a: NDArray[np.complex128], dx: float) -> NDArray[np.float64
 def partial_trace(state: MetaState) -> ReducedDensityMatrix:
     """Contract the hidden coordinate: rho(x, x') = sum over x~ of Psi Psi* dx.
 
-    The input must be normalized; a drifted state is rejected rather
-    than silently renormalized, because a drift means the evolution went
-    wrong and rescaling would bury it.  The result keeps the state's
+    The input must be normalized (check_unit_norm); a drifted state is
+    rejected, never renormalized.  The result keeps the state's
     amplitudes, read only and not copied, as the factor of rho.
     """
-    nrm = state.norm()
-    if abs(nrm - 1.0) > UNIT_NORM_TOL:
-        raise ValidationError(
-            f"partial_trace expects a normalized state, got norm {nrm!r}"
-        )
+    check_unit_norm(state)
     a = state.amplitudes
     rho = a @ a.conj().T
     rho *= state.grid.dx

@@ -339,32 +339,26 @@ def _run_cow_sweep(cfg: ScenarioConfig, emit: _Emitter) -> dict:
         cfg.values["cow.delta_start"], cfg.values["cow.delta_stop"], cfg.values["cow.delta_points"]
     )
     hbar = cfg.units.hbar
-
-    max_re = 0.0
-    max_abs = 0.0
-    max_prob_corr = 0.0
-    enum_max_re = 0.0
-    comp_max = 0.0
     base = InterferometerConfig(
         species=cfg.species, L=cfg.values["cow.L"], v=cfg.values["cow.v"], delta=0.0, units=cfg.units
     )
     sweep, results = _cow_sweep(base, deltas)
     emit.emit("cow.csv", sweep)
-    for d, res in zip(deltas, results):
-        icfg = replace(base, delta=float(d))
-        max_re = max(max_re, abs(res.Aa_star.real))
-        max_abs = max(max_abs, abs(res.Aa_star))
-        max_prob_corr = max(max_prob_corr, abs(res.prob_correction))
-        enum_max_re = max(enum_max_re, abs(pair_enumeration_oracle(icfg).Aa_star.real))
-        other = zeroth_order_probability(replace(base, delta=float(d) + math.pi * hbar))
-        comp_max = max(comp_max, abs(res.prob_zeroth + other - 1.0))
+    # The enumeration and the complementary port, each at the sweep's deltas.
+    enum_max_re = max(
+        abs(pair_enumeration_oracle(replace(base, delta=float(d))).Aa_star.real) for d in deltas
+    )
+    comp_max = max(
+        abs(r.prob_zeroth + zeroth_order_probability(replace(base, delta=float(d) + math.pi * hbar)) - 1.0)
+        for d, r in zip(deltas, results)
+    )
 
     diff = harmonic_coefficient_diff(base)
-    res0 = correction(base)
+    res0 = results[0]  # the actions do not depend on delta
     return {
-        "max_abs_re_AaStar": max_re,
-        "max_abs_AaStar": max_abs,
-        "max_abs_prob_correction": max_prob_corr,
+        "max_abs_re_AaStar": max(abs(r.Aa_star.real) for r in results),
+        "max_abs_AaStar": max(abs(r.Aa_star) for r in results),
+        "max_abs_prob_correction": max(abs(r.prob_correction) for r in results),
         "enum_max_abs_re_AaStar": enum_max_re,
         "complementary_sum_max_err": comp_max,
         "harmonic_coefficients": {

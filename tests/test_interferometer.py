@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -79,7 +80,7 @@ def test_correction_purely_imaginary():
 
 
 def test_correction_actions_frozen_values():
-    res = correction(cow_neutron_preset(delta=0.3e-34))
+    res = correction(replace(cow_neutron_preset(), delta=0.3e-34))
     np.testing.assert_allclose(res.S_G0, S0_NEUTRON, rtol=1e-12)
     np.testing.assert_allclose(res.S_G1, S1_NEUTRON, rtol=1e-12)
 
@@ -139,7 +140,7 @@ def test_oracle_matches_closed_form():
 
 
 def test_oracle_matches_at_neutron_scale():
-    cfg = cow_neutron_preset(delta=0.7e-34)
+    cfg = replace(cow_neutron_preset(), delta=0.7e-34)
     res = correction(cfg)
     orc = pair_enumeration_oracle(cfg)
     np.testing.assert_allclose(orc.Aa_star.imag, res.Aa_star.imag, rtol=1e-13)
@@ -197,3 +198,10 @@ def test_config_validation():
         dimless_config(0.0, v=0.0)
     with pytest.raises(ValidationError):
         dimless_config(math.inf)
+
+
+@pytest.mark.parametrize("delta", [1e274, -1e274])
+def test_config_rejects_delta_whose_phase_overflows(delta):
+    # correction takes cos(2 delta / hbar); with hbar_SI that overflows near 9.48e273 J s.
+    with pytest.raises(ValidationError, match="2 delta / hbar"):
+        replace(cow_neutron_preset(), delta=delta)

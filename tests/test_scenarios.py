@@ -404,6 +404,23 @@ def test_cli_run_failure_leaves_error_manifest(tmp_path, monkeypatch, capsys):
     assert manifest["outputs"] == {}
 
 
+def test_mass_leaving_the_box_names_time_and_lost_mass(tmp_path, capsys):
+    # A fast packet on a short grid carries mass past the box edge: the
+    # separated engine drops it at the gather and the partial trace refuses.
+    cfg_file = tmp_path / "leak.cfg"
+    cfg_file.write_text(
+        "scenario = free-check\ngrid.n = 128\ngrid.x_min = -6\ngrid.x_max = 6\n"
+        "packet.momentum = 6\nevolution.steps = 1200\nevolution.record_every = 100\n"
+    )
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg_file), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("invalid input: ")
+    manifest = read_manifest(out)
+    assert manifest["status"] == "error"
+    assert manifest["diagnostic"].startswith("ValidationError: expected a normalized state")
+    assert "at t = " in manifest["diagnostic"] and "1 - norm^2 = " in manifest["diagnostic"]
+
+
 def test_cli_bad_usage_is_validation(capsys):
     assert cli.main(["run"]) == 1          # missing required options
     assert cli.main(["frobnicate"]) == 1   # unknown verb
@@ -461,6 +478,41 @@ def test_cli_cow_bad_sweep(tmp_path, capsys):
         assert rc == 1
         assert "--delta-sweep" in capsys.readouterr().err
     assert not (tmp_path / "c.csv").exists()
+
+
+# Deltas for which cos(2 delta / hbar_SI) leaves the float range, by flag or key.
+DELTA_OVERFLOW = [
+    ("cow", "0:1e274:4", "--delta-sweep"),
+    ("cow", "-1e274:0:4", "--delta-sweep"),
+    ("run", "cow.delta_stop = 1e300\ncow.delta_points = 4", "cow.delta_stop"),
+    ("run", "cow.delta_start = -1e300\ncow.delta_points = 4", "cow.delta_start"),
+]
+
+
+@pytest.mark.parametrize("verb, setting, name", DELTA_OVERFLOW)
+def test_delta_overflow_is_invalid_input(tmp_path, capsys, verb, setting, name):
+    run_dir = tmp_path / "run"
+    if verb == "cow":
+        argv = ["cow", "--preset", "neutron", f"--delta-sweep={setting}", "--out", str(tmp_path / "o.csv")]
+    else:
+        cfg_file = tmp_path / "cow.cfg"
+        cfg_file.write_text(f"scenario = cow-sweep\n{setting}\n")
+        argv = ["run", "--config", str(cfg_file), "--out", str(run_dir)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid input: {name}: ") and err.count("\n") == 1
+    assert "2 delta / hbar" in err
+    assert not list(tmp_path.rglob("*.csv"))
+    assert not run_dir.exists()  # refused at load, before any write
+
+
+def test_largest_finite_delta_sweep_runs(tmp_path):
+    out = tmp_path / "o.csv"
+    assert cli.main(["cow", "--preset", "neutron", "--delta-sweep", "0:9e273:4", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 5
+    run_dir = tmp_path / "run"
+    cfg = parse_config("scenario = cow-sweep\ncow.delta_stop = 9e273\ncow.delta_points = 4\n")
+    assert run(cfg, run_dir).status == "ok"
 
 
 # In-range species values whose pair potential or actions leave the float range.
