@@ -22,7 +22,6 @@ from .core import (
     ValidationError,
     gaussian_product_metastate,
     gaussian_wavepacket,
-    make_grid,
     product_metastate,
     separated_product_state,
 )
@@ -52,7 +51,6 @@ from .interferometer import (
     PerturbativeRegimeWarning,
     correction,
     cow_neutron_preset,
-    delta_from_uniform_field,
     enumerate_path_pairs,
     harmonic_coefficient_diff,
     pair_enumeration_oracle,
@@ -93,7 +91,6 @@ __all__ = [
     "correction",
     "cow_neutron_preset",
     "decoherence_report",
-    "delta_from_uniform_field",
     "dyson_first_order",
     "enumerate_path_pairs",
     "evolve",
@@ -101,7 +98,6 @@ __all__ = [
     "gaussian_product_metastate",
     "gaussian_wavepacket",
     "harmonic_coefficient_diff",
-    "make_grid",
     "pair_enumeration_oracle",
     "partial_trace",
     "position_probability",

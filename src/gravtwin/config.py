@@ -23,12 +23,12 @@ from .core import (
     UnitSystem,
     ValidationError,
     check_packet_width,
-    make_grid,
 )
 from .evolve import EvolutionConfig
 from .interferometer import InterferometerConfig, cow_neutron_preset
 
 _DELTA_STOP_DEFAULT = 4.0 * math.pi * HBAR_SI  # two fringe periods
+_FREE_CHECK_WIDTH = 0.5  # free-check packet.width default; its evolution.dt default follows from it
 _NEUTRON = cow_neutron_preset()
 # cow.preset = neutron fixes these four keys at the preset's values.
 _NEUTRON_GEOMETRY = {
@@ -107,11 +107,11 @@ SCHEMAS: dict[str, dict[str, _Key]] = {
         **_COMMON,
         "species.mass": _positive(1.0),
         **_grid_keys(-20.0, 20.0, 512),
-        "packet.width": _positive(0.5),
+        "packet.width": _positive(_FREE_CHECK_WIDTH),
         "packet.center": _Key("float", 0.0),
         "packet.momentum": _Key("float", 0.0),
         # dt = doubling time / steps; doubling time is sqrt(3) 2 m w^2 / hbar.
-        **_evolution_keys(math.sqrt(3.0) * 2.0 * 0.25 / 1000.0, 1000, 100),
+        **_evolution_keys(math.sqrt(3.0) * 2.0 * _FREE_CHECK_WIDTH**2 / 1000.0, 1000, 100),
         "report.d_cut": _positive(None),
     },
     "two-packet-decoherence": {
@@ -314,7 +314,7 @@ def _build(scenario: str, values: dict[str, object]) -> ScenarioConfig:
 
     x_min, x_max = values["grid.x_min"], values["grid.x_max"]
     with _named("grid.x_max" if x_max <= x_min else "grid.n"):
-        grid = make_grid(x_min, x_max, values["grid.n"])
+        grid = Grid1D(x_min, x_max, values["grid.n"])
     evolution = EvolutionConfig(
         dt=values["evolution.dt"],
         steps=values["evolution.steps"],

@@ -78,34 +78,36 @@ class ParticleSpecies:
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform periodic grid for one copy's coordinate."""
+    """Uniform periodic grid for one copy's coordinate: n points from x_min, x_max excluded.
+
+    Built from x_min, x_max and n alone; dx, the sample points x and the
+    wavenumbers momentum_grid (in standard transform ordering) are derived
+    and read only, so equality and hashing compare the three inputs.
+    """
 
     x_min: float
     x_max: float
     n: int
-    dx: float
-    # Derived from x_min, x_max and n, so equality compares those alone.
-    x: NDArray[np.float64] = field(repr=False, compare=False)
-    momentum_grid: NDArray[np.float64] = field(repr=False, compare=False)  # wavenumbers, 1/m
+    dx: float = field(init=False, compare=False)
+    x: NDArray[np.float64] = field(init=False, repr=False, compare=False)
+    momentum_grid: NDArray[np.float64] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max) and self.x_max > self.x_min):
+            raise ValidationError(f"need x_max > x_min, got [{self.x_min!r}, {self.x_max!r}]")
+        if self.n < 8 or (self.n & (self.n - 1)) != 0:
+            raise ValidationError(f"n must be a power of two >= 8, got {self.n!r}")
+        dx = (self.x_max - self.x_min) / self.n
+        x = self.x_min + dx * np.arange(self.n)
+        # Standard transform ordering: frequencies 0, 1, ..., n/2-1, -n/2, ..., -1.
+        k = 2.0 * math.pi * np.fft.fftfreq(self.n, d=dx)
+        object.__setattr__(self, "dx", dx)
+        object.__setattr__(self, "x", _readonly(x))
+        object.__setattr__(self, "momentum_grid", _readonly(k))
 
     @property
     def span(self) -> float:
         return self.x_max - self.x_min
-
-
-def make_grid(x_min: float, x_max: float, n: int) -> Grid1D:
-    if not (math.isfinite(x_min) and math.isfinite(x_max) and x_max > x_min):
-        raise ValidationError(f"need x_max > x_min, got [{x_min!r}, {x_max!r}]")
-    if n < 8 or (n & (n - 1)) != 0:
-        raise ValidationError(f"n must be a power of two >= 8, got {n!r}")
-    dx = (x_max - x_min) / n
-    x = x_min + dx * np.arange(n)
-    # Standard transform ordering: frequencies 0, 1, ..., n/2-1, -n/2, ..., -1.
-    k = 2.0 * math.pi * np.fft.fftfreq(n, d=dx)
-    return Grid1D(
-        x_min=x_min, x_max=x_max, n=n, dx=dx,
-        x=_readonly(x), momentum_grid=_readonly(k),
-    )
 
 
 @dataclass(frozen=True)
@@ -237,8 +239,8 @@ def gaussian_wavepacket(
     return _normalized_packet(grid, center, width, momentum, hbar)[0]
 
 
-def product_metastate(grid: Grid1D, psi: NDArray, time: float = 0.0) -> MetaState:
-    """Meta-state psi(x) psi(x~) from one single-copy wavefunction.
+def product_metastate(grid: Grid1D, psi: NDArray) -> MetaState:
+    """Meta-state psi(x) psi(x~) at t = 0 from one single-copy wavefunction.
 
     The input is l2-normalized (weight dx) before the outer product, so
     the result has unit norm and exact exchange symmetry.
@@ -254,7 +256,7 @@ def product_metastate(grid: Grid1D, psi: NDArray, time: float = 0.0) -> MetaStat
     # Fused multiply-adds in the outer product can leave a one-ulp skew
     # between (i, j) and (j, i); symmetrize so the invariant is exact.
     amps = 0.5 * (amps + amps.T)
-    return MetaState(grid=grid, amplitudes=amps, time=time)
+    return MetaState(grid=grid, amplitudes=amps)
 
 
 def gaussian_product_metastate(

@@ -103,8 +103,6 @@ def _actions_cached(
     species: ParticleSpecies, units: UnitSystem, v: float, T: float
 ) -> tuple[float, float]:
     pair = PairPotential(species=species, units=units)
-    if units.G == 0.0:
-        return 0.0, 0.0
     s0 = pair.action_coincident(T)
     s1 = pair.action_integral_separating(v, T).closed_form
     if not (math.isfinite(s0 / units.hbar) and math.isfinite(s1 / units.hbar)):
@@ -287,15 +285,3 @@ def cow_neutron_preset() -> InterferometerConfig:
         delta=0.0,
         units=UnitSystem.si(),
     )
-
-
-def delta_from_uniform_field(slope: float, separation: float, L: float, v: float) -> float:
-    """Phase-difference action for arms offset by `separation` in a linear potential.
-
-    The offset arm sits higher by slope * separation for the dwell time
-    L / v, so delta = slope * separation * L / v.  Convenience plumbing
-    only; delta can always be supplied directly.
-    """
-    if not all(map(math.isfinite, (slope, separation, L, v))) or L <= 0 or v <= 0:
-        raise ValidationError("need finite slope and separation, L > 0, v > 0")
-    return slope * separation * L / v

@@ -44,12 +44,12 @@ class ReducedDensityMatrix:
     factor is the pair amplitude A with rho = A A^H dx, kept as a read-only
     reference, not a copy; without it the weights are unavailable.  A
     caller that hands over a freshly built rho and keeps no other reference
-    to it passes adopt=True to skip the defensive copy.
+    to it passes adopt=True to skip the defensive copy.  The snapshot's
+    time stays with the state rho was traced from.
     """
 
     grid: Grid1D
     rho: NDArray[np.complex128] = field(repr=False)
-    time: float = 0.0
     factor: NDArray[np.complex128] | None = field(default=None, repr=False, compare=False)
     hermiticity: float = field(init=False)  # max |rho - rho^H|, measured once when validated
     adopt: InitVar[bool] = False
@@ -141,7 +141,7 @@ def partial_trace(state: MetaState) -> ReducedDensityMatrix:
     a = state.amplitudes
     rho = a @ a.conj().T
     rho *= state.grid.dx
-    return ReducedDensityMatrix(grid=state.grid, rho=rho, time=state.time, factor=a, adopt=True)
+    return ReducedDensityMatrix(grid=state.grid, rho=rho, factor=a, adopt=True)
 
 
 def position_probability(rho: ReducedDensityMatrix) -> NDArray[np.float64]:

@@ -41,7 +41,6 @@ from .interferometer import (
     correction,
     harmonic_coefficient_diff,
     pair_enumeration_oracle,
-    zeroth_order_probability,
 )
 from .potential import PairPotential
 from .reduction import DecoherenceReport, decoherence_report, partial_trace, structural_checks
@@ -344,14 +343,10 @@ def _run_cow_sweep(cfg: ScenarioConfig, emit: _Emitter) -> dict:
     )
     sweep, results = _cow_sweep(base, deltas)
     emit.emit("cow.csv", sweep)
-    # The enumeration and the complementary port, each at the sweep's deltas.
-    enum_max_re = max(
-        abs(pair_enumeration_oracle(replace(base, delta=float(d))).Aa_star.real) for d in deltas
-    )
-    comp_max = max(
-        abs(r.prob_zeroth + zeroth_order_probability(replace(base, delta=float(d) + math.pi * hbar)) - 1.0)
-        for d, r in zip(deltas, results)
-    )
+    # The enumeration at the sweep's deltas.  Its prob_zeroth traces the
+    # hidden copy over both exit ports, so it matches the closed form's
+    # cos^2(delta / 2 hbar) only if those ports sum to one.
+    enum = [pair_enumeration_oracle(replace(base, delta=float(d))) for d in deltas]
 
     diff = harmonic_coefficient_diff(base)
     res0 = results[0]  # the actions do not depend on delta
@@ -359,8 +354,8 @@ def _run_cow_sweep(cfg: ScenarioConfig, emit: _Emitter) -> dict:
         "max_abs_re_AaStar": max(abs(r.Aa_star.real) for r in results),
         "max_abs_AaStar": max(abs(r.Aa_star) for r in results),
         "max_abs_prob_correction": max(abs(r.prob_correction) for r in results),
-        "enum_max_abs_re_AaStar": enum_max_re,
-        "complementary_sum_max_err": comp_max,
+        "enum_max_abs_re_AaStar": max(abs(e.Aa_star.real) for e in enum),
+        "enum_max_abs_prob_zeroth_err": max(abs(e.prob_zeroth - r.prob_zeroth) for e, r in zip(enum, results)),
         "harmonic_coefficients": {
             "closed_form": diff.closed_form,
             "enumeration": diff.enumeration,

@@ -12,7 +12,6 @@ from gravtwin import (
     ValidationError,
     gaussian_product_metastate,
     gaussian_wavepacket,
-    make_grid,
     product_metastate,
 )
 
@@ -41,7 +40,7 @@ def test_species_validation():
 
 
 def test_grid_spacing():
-    g = make_grid(-5.0, 5.0, 16)
+    g = Grid1D(-5.0, 5.0, 16)
     assert g.dx == 0.625
     assert g.n == 16
     assert g.span == 10.0
@@ -51,7 +50,7 @@ def test_grid_spacing():
 
 
 def test_grid_momentum_spacing():
-    g = make_grid(-5.0, 5.0, 64)
+    g = Grid1D(-5.0, 5.0, 64)
     k = np.sort(g.momentum_grid)
     dk = np.diff(k)
     np.testing.assert_allclose(dk, 2.0 * math.pi / 10.0, rtol=1e-13)
@@ -61,19 +60,36 @@ def test_grid_momentum_spacing():
 def test_grid_n_validation():
     for bad in (0, 4, 12, 100, 513):
         with pytest.raises(ValidationError):
-            make_grid(-1.0, 1.0, bad)
+            Grid1D(-1.0, 1.0, bad)
     with pytest.raises(ValidationError):
-        make_grid(1.0, -1.0, 16)
+        Grid1D(1.0, -1.0, 16)
+
+
+def test_grid_is_its_three_inputs():
+    g = Grid1D(-1.0, 1.0, 16)
+    dx = (1.0 - -1.0) / 16
+    assert g.dx == dx
+    assert g.x.tobytes() == (-1.0 + dx * np.arange(16)).tobytes()
+    assert g.momentum_grid.tobytes() == (2.0 * math.pi * np.fft.fftfreq(16, d=dx)).tobytes()
+    twin = Grid1D(-1.0, 1.0, 16)
+    assert twin == g and hash(twin) == hash(g)
+    assert Grid1D(-1.0, 1.0, 32) != g
+    for derived in ({"dx": 0.125}, {"x": np.zeros(16)}, {"momentum_grid": np.zeros(16)}):
+        with pytest.raises(TypeError):
+            Grid1D(-1.0, 1.0, 16, **derived)
+    for x_min, x_max in ((0.0, 0.0), (-math.inf, 1.0), (-1.0, math.nan)):
+        with pytest.raises(ValidationError):
+            Grid1D(x_min, x_max, 16)
 
 
 def test_grid_arrays_read_only():
-    g = make_grid(-1.0, 1.0, 16)
+    g = Grid1D(-1.0, 1.0, 16)
     with pytest.raises(ValueError):
         g.x[0] = 99.0
 
 
 def test_gaussian_packet_norm_and_moments():
-    g = make_grid(-20.0, 20.0, 512)
+    g = Grid1D(-20.0, 20.0, 512)
     psi = gaussian_wavepacket(g, center=1.5, width=0.8, momentum=2.0)
     prob = np.abs(psi) ** 2 * g.dx
     np.testing.assert_allclose(np.sum(prob), 1.0, atol=1e-12)
@@ -84,7 +100,7 @@ def test_gaussian_packet_norm_and_moments():
 
 
 def test_gaussian_packet_momentum_mean():
-    g = make_grid(-20.0, 20.0, 512)
+    g = Grid1D(-20.0, 20.0, 512)
     p0 = 3.0
     psi = gaussian_wavepacket(g, center=0.0, width=0.7, momentum=p0)
     phi = np.fft.fft(psi)
@@ -94,20 +110,20 @@ def test_gaussian_packet_momentum_mean():
 
 
 def test_gaussian_width_resolution_guard():
-    g = make_grid(-10.0, 10.0, 32)  # dx = 0.625
+    g = Grid1D(-10.0, 10.0, 32)  # dx = 0.625
     with pytest.raises(ValidationError):
         gaussian_wavepacket(g, center=0.0, width=1.0, momentum=0.0)
 
 
 def test_gaussian_tail_guard():
     # packet centered near the edge leaks mass out of the box interior
-    g = make_grid(-10.0, 10.0, 256)
+    g = Grid1D(-10.0, 10.0, 256)
     with pytest.raises(ValidationError):
         gaussian_wavepacket(g, center=9.0, width=1.0, momentum=0.0)
 
 
 def test_product_state_symmetry_exact():
-    g = make_grid(-10.0, 10.0, 128)
+    g = Grid1D(-10.0, 10.0, 128)
     st = gaussian_product_metastate(g, center=0.3, width=0.9, momentum=1.0)
     assert st.exchange_asymmetry() == 0.0
     np.testing.assert_allclose(st.norm(), 1.0, atol=1e-12)
@@ -115,27 +131,27 @@ def test_product_state_symmetry_exact():
 
 
 def test_product_state_normalizes_input():
-    g = make_grid(-10.0, 10.0, 128)
+    g = Grid1D(-10.0, 10.0, 128)
     psi = 5.0 * gaussian_wavepacket(g, center=0.0, width=0.8, momentum=0.0)
     st = product_metastate(g, psi)
     np.testing.assert_allclose(st.norm(), 1.0, atol=1e-12)
 
 
 def test_metastate_amplitudes_read_only():
-    g = make_grid(-10.0, 10.0, 64)
+    g = Grid1D(-10.0, 10.0, 64)
     st = gaussian_product_metastate(g, center=0.0, width=0.9, momentum=0.0)
     with pytest.raises(ValueError):
         st.amplitudes[0, 0] = 0.0
 
 
 def test_metastate_shape_validation():
-    g = make_grid(-10.0, 10.0, 64)
+    g = Grid1D(-10.0, 10.0, 64)
     with pytest.raises(ValidationError):
         MetaState(grid=g, amplitudes=np.zeros((32, 32), dtype=complex), time=0.0)
 
 
 def test_external_potential_kinds():
-    g = make_grid(-4.0, 4.0, 64)
+    g = Grid1D(-4.0, 4.0, 64)
     sp = ParticleSpecies(mass=2.0, radius=1.0)
     null = ExternalPotential.null()
     lin = ExternalPotential.uniform_field(slope=3.0)

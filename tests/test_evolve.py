@@ -8,6 +8,7 @@ from gravtwin import (
     CFLViolation,
     EvolutionConfig,
     ExternalPotential,
+    Grid1D,
     MetaState,
     NumericalAbort,
     PairPotential,
@@ -20,7 +21,6 @@ from gravtwin import (
     first_order_position_density,
     gaussian_product_metastate,
     gaussian_wavepacket,
-    make_grid,
     product_metastate,
     separated_product_state,
 )
@@ -31,7 +31,7 @@ UNIT = ParticleSpecies(mass=1.0, radius=1.0)
 
 def setup(g=0.0, n=128, half_span=8.0):
     units = UnitSystem.dimensionless(g=g)
-    grid = make_grid(-half_span, half_span, n)
+    grid = Grid1D(-half_span, half_span, n)
     return units, grid, PairPotential(UNIT, units)
 
 
@@ -330,13 +330,13 @@ def test_dyson_density_mass_conserved():
 
 def test_first_order_density_compares_grids_by_value():
     units, grid, pair = setup(g=0.5)
-    twin_grid = make_grid(grid.x_min, grid.x_max, grid.n)
+    twin_grid = Grid1D(grid.x_min, grid.x_max, grid.n)
     psi0, psi1 = dyson_first_order(gaussian_product_metastate(grid, 0.0, 0.7, 0.0),
                                    ExternalPotential.null(), pair, EvolutionConfig(dt=1e-3, steps=20))
     twin = MetaState(grid=twin_grid, amplitudes=psi1.amplitudes, time=psi1.time)
     np.testing.assert_array_equal(first_order_position_density(psi0, twin),
                                   first_order_position_density(psi0, psi1))
-    coarse = gaussian_product_metastate(make_grid(grid.x_min, grid.x_max, grid.n // 2), 0.0, 0.7, 0.0)
+    coarse = gaussian_product_metastate(Grid1D(grid.x_min, grid.x_max, grid.n // 2), 0.0, 0.7, 0.0)
     with pytest.raises(ValidationError):
         first_order_position_density(psi0, coarse)
 
@@ -373,7 +373,7 @@ def product_oracle(grid, centers, width, momentum):
 @pytest.mark.parametrize("case", sorted(SEPARATED_CASES))
 def test_separated_builder_gathers_to_product_state(case):
     centers, momentum = SEPARATED_CASES[case]
-    grid = make_grid(-16.0, 16.0, 256)
+    grid = Grid1D(-16.0, 16.0, 256)
     sep = separated_product_state(grid, centers, 0.7, momentum)
     gathered = sep.metastate()
     ref = product_oracle(grid, centers, 0.7, momentum)
@@ -424,7 +424,7 @@ def test_separated_free_pair_matches_closed_form():
 
 
 def test_separated_state_validation():
-    grid = make_grid(-8.0, 8.0, 16)
+    grid = Grid1D(-8.0, 8.0, 16)
     good = np.ones((1, 32))
     with pytest.raises(ValidationError):
         SeparatedState(grid=grid, com=np.ones((1, 16)), rel=good)

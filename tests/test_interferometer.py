@@ -13,7 +13,6 @@ from gravtwin import (
     ValidationError,
     correction,
     cow_neutron_preset,
-    delta_from_uniform_field,
     enumerate_path_pairs,
     harmonic_coefficient_diff,
     pair_enumeration_oracle,
@@ -180,15 +179,6 @@ def test_perturbative_warning_threshold():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         correction(small)
-
-
-def test_delta_from_uniform_field():
-    d = delta_from_uniform_field(slope=2.0, separation=0.5, L=3.0, v=1.5)
-    np.testing.assert_allclose(d, 2.0 * 0.5 * 3.0 / 1.5, rtol=1e-15)
-    # linear in each argument
-    np.testing.assert_allclose(
-        delta_from_uniform_field(4.0, 0.5, 3.0, 1.5), 2.0 * d, rtol=1e-15
-    )
 
 
 def test_config_validation():

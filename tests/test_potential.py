@@ -1,15 +1,13 @@
-import math
-
 import numpy as np
 import pytest
 
 from gravtwin import (
+    Grid1D,
     InterferometerConfig,
     PairPotential,
     ParticleSpecies,
     UnitSystem,
     ValidationError,
-    make_grid,
 )
 from gravtwin.potential import _float_value
 
@@ -106,7 +104,7 @@ def test_si_values():
 
 
 def test_grid_matrix_symmetric_with_zero_diagonal_value():
-    g = make_grid(-4.0, 4.0, 64)
+    g = Grid1D(-4.0, 4.0, 64)
     pair = dimensionless_pair()
     v = pair.evaluate_on_grid(g)
     assert v.shape == (64, 64)
@@ -115,7 +113,7 @@ def test_grid_matrix_symmetric_with_zero_diagonal_value():
 
 
 def test_grid_matrix_matches_pointwise():
-    g = make_grid(-4.0, 4.0, 32)
+    g = Grid1D(-4.0, 4.0, 32)
     pair = dimensionless_pair()
     v = pair.evaluate_on_grid(g)
     i, j = 3, 29

@@ -6,6 +6,7 @@ import pytest
 from gravtwin import (
     EvolutionConfig,
     ExternalPotential,
+    Grid1D,
     MetaState,
     PairPotential,
     ParticleSpecies,
@@ -16,7 +17,6 @@ from gravtwin import (
     evolve,
     gaussian_product_metastate,
     gaussian_wavepacket,
-    make_grid,
     partial_trace,
     position_probability,
     product_metastate,
@@ -26,7 +26,7 @@ from gravtwin import (
 
 
 def grid_default(n=256, half_span=16.0):
-    return make_grid(-half_span, half_span, n)
+    return Grid1D(-half_span, half_span, n)
 
 
 def correlated_two_packet(grid, sep, width):
@@ -205,7 +205,7 @@ def test_failed_eigensolve_abandons_only_the_spectrum(monkeypatch):
 
 def _evolved_state(n, kind):
     """A free packet, the decoherence pair (g = 0.5) or the crosscheck pair (g = 1/3) at n."""
-    grid = make_grid(-16.0, 16.0, n)
+    grid = Grid1D(-16.0, 16.0, n)
     centers, g, steps = {
         "free": ((0.0,), 0.0, 400),
         "two-packet": ((-4.0, 4.0), 0.5, 2000),
@@ -254,7 +254,7 @@ def test_factor_weights_match_dense_spectrum(oracle_states, case):
 
 def test_spread_state_reaches_full_rank(monkeypatch):
     n = 512
-    g = make_grid(-16.0, 16.0, n)
+    g = Grid1D(-16.0, 16.0, n)
     rng = np.random.default_rng(7)
     amps = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     st = MetaState(grid=g, amplitudes=amps / (np.linalg.norm(amps) * g.dx))

@@ -11,6 +11,7 @@ import gravtwin.scenarios as scenarios
 from gravtwin import (
     ConfigError,
     ExternalPotential,
+    Grid1D,
     InterferometerConfig,
     NumericalAbort,
     PairPotential,
@@ -22,7 +23,6 @@ from gravtwin import (
     dyson_first_order,
     gaussian_product_metastate,
     load_config,
-    make_grid,
     parse_config,
     run,
     separated_product_state,
@@ -208,7 +208,7 @@ def test_absorbing_boundary_rejected_at_load_time(tmp_path, capsys):
 
 
 def test_full_observer_solves_one_spectrum_per_record(monkeypatch):
-    grid = make_grid(-8.0, 8.0, 64)
+    grid = Grid1D(-8.0, 8.0, 64)
     state = gaussian_product_metastate(grid, 0.0, 0.8, 0.0)
     calls = {"svd": 0, "eigvalsh": 0}
 
@@ -513,6 +513,16 @@ def test_largest_finite_delta_sweep_runs(tmp_path):
     run_dir = tmp_path / "run"
     cfg = parse_config("scenario = cow-sweep\ncow.delta_stop = 9e273\ncow.delta_points = 4\n")
     assert run(cfg, run_dir).status == "ok"
+
+
+@pytest.mark.parametrize("stop, points", [(1e-20, 64), (9e273, 4)])
+def test_cow_port_check_holds_at_any_delta(tmp_path, stop, points):
+    # A check at delta + pi hbar would lose the shift once ulp(delta) is not
+    # small against pi hbar; the enumeration traces both ports with no shift.
+    cfg = parse_config(f"scenario = cow-sweep\ncow.delta_stop = {stop!r}\ncow.delta_points = {points}\n")
+    assert run(cfg, tmp_path / "run").status == "ok"
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert summary["enum_max_abs_prob_zeroth_err"] <= 1e-15
 
 
 # In-range species values whose pair potential or actions leave the float range.
