@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 validation failure, 2 numerical abort, 3 I/O
 failure.  Argument errors and sizes too large to allocate count as
-validation.  Each numeric flag is checked against the range of the
-scenario config key it stands for, and its errors start with the flag.
+validation.  Each numeric flag is read as the scenario config key it
+stands for, by the reader of config files, and its errors start with the
+flag.
 The only environment knob is GRAVTWIN_WORKERS (transform worker
 threads); it never changes results, only speed.
 """
@@ -14,17 +15,21 @@ import functools
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from ._version import __version__
-from .config import SCHEMAS, ConfigError, _coerce, check_sweep, load_config
-from .core import ParticleSpecies, UnitSystem, ValidationError
+from .config import ConfigError, load_config, read
+from .core import UnitSystem, ValidationError
 from .evolve import NumericalAbort
-from .interferometer import InterferometerConfig, cow_neutron_preset
 # Unused here, but perfbench/child.py wraps correction under this name.
 from .interferometer import correction  # noqa: F401
 from .potential import PairPotential
 from .scenarios import _POTENTIAL_COLUMNS, _cow_sweep, _potential_table, csv_bytes, run
+
+# The flag that stands for each config key the verbs read.
+_POTENTIAL_FLAGS = {"species.mass": "--mass", "species.radius": "--radius",
+                    "potential.r_max": "--r-max", "potential.samples": "--samples"}
+_SWEEP_KEYS = ("cow.delta_start", "cow.delta_stop", "cow.delta_points")
+_COW_FLAGS = {"cow.mass": "--mass", "cow.radius": "--radius", "cow.L": "--L", "cow.v": "--v",
+              **dict.fromkeys(_SWEEP_KEYS, "--delta-sweep")}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,19 +73,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_sweep(text: str, base: InterferometerConfig) -> tuple[float, float, int]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"--delta-sweep: expects START:STOP:N, got {text!r}")
-    keys = SCHEMAS["cow-sweep"]
-    start, stop, n = (
-        _coerce("--delta-sweep", keys[key], part)
-        for key, part in zip(("cow.delta_start", "cow.delta_stop", "cow.delta_points"), parts)
-    )
-    check_sweep(base, start, stop, "--delta-sweep", "--delta-sweep")
-    return start, stop, n
-
-
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     manifest = run(cfg, args.out)
@@ -89,42 +81,33 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_potential(args) -> int:
-    keys = SCHEMAS["potential-scan"]
-    species = ParticleSpecies(
-        mass=_coerce("--mass", keys["species.mass"], args.mass),
-        radius=_coerce("--radius", keys["species.radius"], args.radius),
-    )
-    pair = PairPotential(species=species, units=UnitSystem.si())
-    samples = _coerce("--samples", keys["potential.samples"], args.samples)
-    r, vals = _potential_table(pair, _coerce("--r-max", keys["potential.r_max"], args.r_max), samples)
+    raw = {"species.mass": args.mass, "species.radius": args.radius,
+           "potential.r_max": args.r_max, "potential.samples": args.samples}
+    cfg = read("potential-scan", raw, _POTENTIAL_FLAGS)
+    pair = PairPotential(species=cfg.species, units=UnitSystem.si())
+    r, vals = _potential_table(pair, cfg.values["potential.r_max"], cfg.values["potential.samples"])
     Path(args.out).write_bytes(csv_bytes(_POTENTIAL_COLUMNS, zip(r, vals)))
-    print(f"wrote {samples} samples to {args.out}")
+    print(f"wrote {len(r)} samples to {args.out}")
     return 0
 
 
 def _cmd_cow(args) -> int:
-    custom = [args.mass, args.radius, args.L, args.v]
+    geometry = {"cow.mass": args.mass, "cow.radius": args.radius, "cow.L": args.L, "cow.v": args.v}
     if args.preset is not None:
-        if any(v is not None for v in custom):
+        if any(v is not None for v in geometry.values()):
             raise ConfigError("--preset conflicts with --mass/--radius/--L/--v")
-        base = cow_neutron_preset()
+        raw = {"cow.preset": args.preset}
     else:
-        if any(v is None for v in custom):
+        if any(v is None for v in geometry.values()):
             raise ConfigError("custom geometry needs all of --mass --radius --L --v")
-        keys = SCHEMAS["cow-sweep"]
-        base = InterferometerConfig(
-            species=ParticleSpecies(
-                mass=_coerce("--mass", keys["cow.mass"], args.mass),
-                radius=_coerce("--radius", keys["cow.radius"], args.radius),
-            ),
-            L=_coerce("--L", keys["cow.L"], args.L),
-            v=_coerce("--v", keys["cow.v"], args.v),
-            delta=0.0,
-            units=UnitSystem.si(),
-        )
-    start, stop, n = _parse_sweep(args.delta_sweep, base)
-    Path(args.out).write_bytes(_cow_sweep(base, np.linspace(start, stop, n))[0])
-    print(f"wrote {n} sweep points to {args.out}")
+        raw = {"cow.preset": "custom", **geometry}
+    parts = args.delta_sweep.split(":")
+    if len(parts) != 3:
+        raise ConfigError(f"--delta-sweep: expects START:STOP:N, got {args.delta_sweep!r}")
+    raw.update(zip(_SWEEP_KEYS, parts))
+    deltas, sweep, _ = _cow_sweep(read("cow-sweep", raw, _COW_FLAGS))
+    Path(args.out).write_bytes(sweep)
+    print(f"wrote {len(deltas)} sweep points to {args.out}")
     return 0
 
 

@@ -15,6 +15,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable, Mapping
 
 from .core import (
     HBAR_SI,
@@ -91,7 +92,7 @@ _SPECIES_KEYS = {
 }
 
 _COMMON = {
-    "scenario": _Key("word", None),  # parse_config checks it against the SCHEMAS keys
+    "scenario": _Key("word", None),  # read checks it against the SCHEMAS keys
 }
 
 # The scenarios are the keys of SCHEMAS, each with the keys its config may set.
@@ -153,7 +154,8 @@ class ScenarioConfig:
     """A fully resolved, validated scenario description.
 
     values holds every key of the scenario's schema under its config name,
-    typed and in range; grid and evolution are built for the grid scenarios.
+    typed and in range; grid and evolution are built for the grid scenarios,
+    and two_arm, the geometry at delta = 0, for cow-sweep.
     """
 
     scenario: str
@@ -162,6 +164,7 @@ class ScenarioConfig:
     values: dict[str, object]
     grid: Grid1D | None = None
     evolution: EvolutionConfig | None = None
+    two_arm: InterferometerConfig | None = None
 
     @property
     def resolved(self) -> dict[str, str]:
@@ -228,15 +231,14 @@ def _canonical(value: object) -> str:
     return str(value)
 
 
-def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
-    raw = _parse_lines(text, source)
-    scenario = raw.get("scenario")
-    if scenario is None:
-        raise ConfigError(f"{source}: missing required key 'scenario'")
+def read(scenario: str, raw: Mapping[str, str], names: Mapping[str, str] | None = None) -> ScenarioConfig:
+    """The config of scenario from the text of the keys in raw; defaults fill the rest.
+
+    names maps a key to the name its value was given under, such as a
+    command-line flag; the key's errors start with that name.
+    """
     if scenario not in SCHEMAS:
-        raise ConfigError(
-            f"scenario: must be one of {', '.join(SCHEMAS)}; got {scenario!r}"
-        )
+        raise ConfigError(f"scenario: must be one of {', '.join(SCHEMAS)}; got {scenario!r}")
     schema = SCHEMAS[scenario]
     unknown = sorted(set(raw) - set(schema))
     if unknown:
@@ -244,13 +246,23 @@ def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
             f"unknown key {unknown[0]!r} for scenario {scenario} "
             f"(valid keys: {', '.join(sorted(schema))})"
         )
-    values: dict[str, object] = {}
-    for key, spec in schema.items():
-        if key in raw:
-            values[key] = _coerce(key, spec, raw[key])
-        else:
-            values[key] = spec.default
-    return _build(scenario, values)
+
+    def name(key: str) -> str:
+        return names.get(key, key) if names else key
+
+    raw = {**raw, "scenario": scenario}  # a caller other than parse_config leaves it out
+    values = {
+        key: _coerce(name(key), spec, raw[key]) if key in raw else spec.default
+        for key, spec in schema.items()
+    }
+    return _build(scenario, values, name)
+
+
+def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
+    raw = _parse_lines(text, source)
+    if "scenario" not in raw:
+        raise ConfigError(f"{source}: missing required key 'scenario'")
+    return read(raw["scenario"], raw)
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
@@ -273,39 +285,29 @@ def _named(key: str):
         raise ConfigError(f"{key}: {exc}") from None
 
 
-def check_sweep(
-    base: InterferometerConfig, start: float, stop: float, start_name: str, stop_name: str
-) -> None:
-    """Reject a delta sweep of base whose ends base cannot take or whose stop does not exceed its start.
-
-    Each error starts with the key or flag of the end it names.
-    """
-    for name, delta in ((start_name, start), (stop_name, stop)):
-        with _named(name):
-            replace(base, delta=delta)
-    if not stop > start:
-        raise ConfigError(f"{stop_name}: the stop must exceed the start, got {start!r} to {stop!r}")
-
-
-def _build(scenario: str, values: dict[str, object]) -> ScenarioConfig:
-    """The config from typed, in-range values; the rules that tie keys together live here."""
+def _build(scenario: str, values: dict[str, object], name: Callable[[str], str]) -> ScenarioConfig:
+    """The config from typed, in-range values: the rules that tie keys together, each error led by name(key)."""
     if scenario == "cow-sweep":
         if values["cow.preset"] == "neutron":
             # The four geometry keys may not fight the preset.
             for key, default in _NEUTRON_GEOMETRY.items():
                 if values[key] != default:
                     raise ConfigError(
-                        f"{key}: conflicts with cow.preset = neutron; "
+                        f"{name(key)}: conflicts with cow.preset = neutron; "
                         "set cow.preset = custom to override the geometry"
                     )
         species = ParticleSpecies(mass=values["cow.mass"], radius=values["cow.radius"])
         units = UnitSystem.si()
-        base = InterferometerConfig(species=species, L=values["cow.L"], v=values["cow.v"], delta=0.0, units=units)
+        two_arm = InterferometerConfig(species=species, L=values["cow.L"], v=values["cow.v"], delta=0.0, units=units)
+        for key in ("cow.delta_start", "cow.delta_stop"):  # each sweep end must suit the geometry
+            with _named(name(key)):
+                replace(two_arm, delta=values[key])
         start, stop = values["cow.delta_start"], values["cow.delta_stop"]
-        check_sweep(base, start, stop, "cow.delta_start", "cow.delta_stop")
-        return ScenarioConfig(scenario, units, species, values)
+        if not stop > start:
+            raise ConfigError(f"{name('cow.delta_stop')}: the stop must exceed the start, got {start!r} to {stop!r}")
+        return ScenarioConfig(scenario, units, species, values, two_arm=two_arm)
 
-    with _named("coupling.g"):
+    with _named(name("coupling.g")):
         units = UnitSystem.dimensionless(values.get("coupling.g", 0.0))
     # free-check runs at G = 0, where the radius has no effect: it stays the unit length.
     species = ParticleSpecies(mass=values["species.mass"], radius=values.get("species.radius", 1.0))
@@ -313,21 +315,21 @@ def _build(scenario: str, values: dict[str, object]) -> ScenarioConfig:
         return ScenarioConfig(scenario, units, species, values)
 
     x_min, x_max = values["grid.x_min"], values["grid.x_max"]
-    with _named("grid.x_max" if x_max <= x_min else "grid.n"):
+    with _named(name("grid.x_max" if x_max <= x_min else "grid.n")):
         grid = Grid1D(x_min, x_max, values["grid.n"])
     evolution = EvolutionConfig(
         dt=values["evolution.dt"],
         steps=values["evolution.steps"],
         record_every=values["evolution.record_every"],
     )
-    with _named("evolution.dt"):
+    with _named(name("evolution.dt")):
         evolution.check_stability(grid, species.mass, units.hbar)
     width = values["packet.width"]
-    with _named("packet.width"):
+    with _named(name("packet.width")):
         check_packet_width(grid, width)
     if "packet.separation" in values and values["packet.separation"] <= 2.0 * width:
         raise ConfigError(
-            f"packet.separation: {values['packet.separation']!r} too small; "
+            f"{name('packet.separation')}: {values['packet.separation']!r} too small; "
             f"packets overlap (need > {2.0 * width})"
         )
     if "report.d_cut" in values and values["report.d_cut"] is None:

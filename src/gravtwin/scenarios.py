@@ -37,7 +37,6 @@ from .core import gaussian_product_metastate, gaussian_wavepacket, product_metas
 from .evolve import NumericalAbort, dyson_first_order, evolve, first_order_position_density
 from .interferometer import (
     CorrectionResult,
-    InterferometerConfig,
     correction,
     harmonic_coefficient_diff,
     pair_enumeration_oracle,
@@ -131,12 +130,14 @@ def _full_observer(d_cut: float) -> Callable[[MetaState], _Observation]:
 
 
 def _invariant_summary(checks: Sequence[Mapping[str, float]]) -> dict[str, float]:
+    # np.max and np.min pass on a NaN from any record; the builtins keep
+    # or drop it by where it sits.
     return {
-        "max_norm_drift": max(c["norm_drift"] for c in checks),
-        "max_exchange_asymmetry": max(c["exchange_asymmetry"] for c in checks),
-        "max_hermiticity": max(c["hermiticity"] for c in checks),
-        "max_trace_error": max(c["trace_error"] for c in checks),
-        "min_eigenvalue": min(c["min_eigenvalue"] for c in checks),
+        "max_norm_drift": float(np.max([c["norm_drift"] for c in checks])),
+        "max_exchange_asymmetry": float(np.max([c["exchange_asymmetry"] for c in checks])),
+        "max_hermiticity": float(np.max([c["hermiticity"] for c in checks])),
+        "max_trace_error": float(np.max([c["trace_error"] for c in checks])),
+        "min_eigenvalue": float(np.min([c["min_eigenvalue"] for c in checks])),
     }
 
 
@@ -283,30 +284,27 @@ def _run_perturbative(cfg: ScenarioConfig, emit: _Emitter) -> dict:
     g0 = cfg.units.G
     couplings = [g0 / 2**j for j in range(cfg.values["dyson.halvings"] + 1)]
 
-    full_densities = []
+    # One Dyson pass at g0, first: its perturbative-window guard at g0 is the
+    # cheapest way this scenario can fail.  psi0 does not depend on g and
+    # psi1 is linear in it, so psi1(g0 / 2^j) = 2^-j psi1(g0), exact in
+    # floating point.  Only the first-order densities outlive the pass.
+    pair0 = PairPotential(species=cfg.species, units=cfg.units)
+    psi0, psi1 = dyson_first_order(state, ExternalPotential.null(), pair0, cfg.evolution)
+    approx_densities = [
+        first_order_position_density(psi0, replace(psi1, amplitudes=0.5**j * psi1.amplitudes))
+        for j in range(len(couplings))
+    ]
+    del psi0, psi1
+
+    residuals = []
     checks: list[dict[str, float]] = []
-    for g in couplings:
+    for g, approx_density in zip(couplings, approx_densities):
         pair = PairPotential(species=cfg.species, units=UnitSystem.dimensionless(g))
         record = evolve(state, ExternalPotential.null(), pair, cfg.evolution, observer=structural_checks)
         assert record.reduced_observables is not None
-        full_densities.append(np.sum(np.abs(record.final_state.amplitudes) ** 2, axis=1) * grid.dx)
-        checks.extend(record.reduced_observables)
-    del record
-
-    # One Dyson pass at g0, after the full runs so its channels never share
-    # memory with them.  psi0 does not depend on g and psi1 is linear in it,
-    # so psi1(g0 / 2^j) = 2^-j psi1(g0), exact in floating point.  The
-    # pass's perturbative-window guard runs at g0, the coupling that binds.
-    pair0 = PairPotential(species=cfg.species, units=cfg.units)
-    psi0, psi1 = dyson_first_order(state, ExternalPotential.null(), pair0, cfg.evolution)
-    residuals = []
-    first_order_mass = None
-    for j, full_density in enumerate(full_densities):
-        psi1_g = MetaState(grid=grid, amplitudes=0.5**j * psi1.amplitudes, time=psi1.time)
-        approx_density = first_order_position_density(psi0, psi1_g)
+        full_density = np.sum(np.abs(record.final_state.amplitudes) ** 2, axis=1) * grid.dx
         residuals.append(float(np.max(np.abs(full_density - approx_density))))
-        if first_order_mass is None:
-            first_order_mass = float(np.sum(approx_density) * grid.dx)
+        checks.extend(record.reduced_observables)
 
     ratios = [a / b for a, b in zip(residuals, residuals[1:])]
     emit.emit("residuals.csv", csv_bytes(("g", "max_residual"), zip(couplings, residuals)))
@@ -315,40 +313,34 @@ def _run_perturbative(cfg: ScenarioConfig, emit: _Emitter) -> dict:
         "residuals": residuals,
         "halving_ratios": ratios,
         "ratios_within_band": all(3.5 <= r <= 4.5 for r in ratios),
-        "first_order_mass": first_order_mass,
+        "first_order_mass": float(np.sum(approx_densities[0]) * grid.dx),
         "action_estimate_over_hbar": pair0.action_over_hbar(cfg.evolution.dt * cfg.evolution.steps),
         **_invariant_summary(checks),
     }
 
 
-def _cow_sweep(
-    base: InterferometerConfig, deltas: NDArray[np.float64]
-) -> tuple[bytes, list[CorrectionResult]]:
-    """The sweep of base over deltas as CSV, and the closed-form correction at each delta."""
-    results = [correction(replace(base, delta=float(d))) for d in deltas]
+def _cow_sweep(cfg: ScenarioConfig) -> tuple[NDArray[np.float64], bytes, list[CorrectionResult]]:
+    """The deltas of cfg's sweep, the sweep as CSV, and the closed-form correction at each delta."""
+    deltas = np.linspace(
+        cfg.values["cow.delta_start"], cfg.values["cow.delta_stop"], cfg.values["cow.delta_points"]
+    )
+    results = [correction(replace(cfg.two_arm, delta=float(d))) for d in deltas]
     rows = (
         (d, r.prob_zeroth, r.Aa_star.real, r.Aa_star.imag, r.S_G0, r.S_G1)
         for d, r in zip(deltas, results)
     )
-    return csv_bytes(_COW_COLUMNS, rows), results
+    return deltas, csv_bytes(_COW_COLUMNS, rows), results
 
 
 def _run_cow_sweep(cfg: ScenarioConfig, emit: _Emitter) -> dict:
-    deltas = np.linspace(
-        cfg.values["cow.delta_start"], cfg.values["cow.delta_stop"], cfg.values["cow.delta_points"]
-    )
-    hbar = cfg.units.hbar
-    base = InterferometerConfig(
-        species=cfg.species, L=cfg.values["cow.L"], v=cfg.values["cow.v"], delta=0.0, units=cfg.units
-    )
-    sweep, results = _cow_sweep(base, deltas)
+    deltas, sweep, results = _cow_sweep(cfg)
     emit.emit("cow.csv", sweep)
     # The enumeration at the sweep's deltas.  Its prob_zeroth traces the
     # hidden copy over both exit ports, so it matches the closed form's
     # cos^2(delta / 2 hbar) only if those ports sum to one.
-    enum = [pair_enumeration_oracle(replace(base, delta=float(d))) for d in deltas]
+    enum = [pair_enumeration_oracle(replace(cfg.two_arm, delta=float(d))) for d in deltas]
 
-    diff = harmonic_coefficient_diff(base)
+    diff = harmonic_coefficient_diff(cfg.two_arm)
     res0 = results[0]  # the actions do not depend on delta
     return {
         "max_abs_re_AaStar": max(abs(r.Aa_star.real) for r in results),
@@ -363,7 +355,7 @@ def _run_cow_sweep(cfg: ScenarioConfig, emit: _Emitter) -> dict:
         },
         "S_G0": res0.S_G0,
         "S_G1": res0.S_G1,
-        "S_G0_over_hbar": res0.S_G0 / hbar,
+        "S_G0_over_hbar": res0.S_G0 / cfg.units.hbar,
     }
 
 

@@ -1,6 +1,8 @@
 import re
+import shlex
 from pathlib import Path
 
+from gravtwin import cli
 from gravtwin.config import SCHEMAS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -21,3 +23,29 @@ def test_readme_config_tables_list_each_schema():
         first_cells = re.findall(r"^\| ([^|]*) \|", section.group(1), flags=re.M)
         keys = {key for cell in first_cells for key in re.findall(r"`([^`]+)`", cell)}
         assert keys == set(schema) - {"scenario"}, name
+
+
+def _command_lines() -> list[list[str]]:
+    """The argument lists of the `gravtwin` lines in README's command-line block."""
+    section = README.read_text().split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"^```\n(.*?)^```", section, flags=re.M | re.S).group(1)
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("gravtwin ")]
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "scenario.cfg").write_text("scenario = potential-scan\n")
+    argvs = _command_lines()
+    assert [argv[0] for argv in argvs] == ["run", "potential", "cow", "cow", "version"]
+    for argv in argvs:
+        assert cli.main(argv) == 0, (argv, capsys.readouterr().err)
+
+
+def test_readme_error_message_is_verbatim(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    documented = re.search(r"`(invalid input: --samples: [^`]*)`", README.read_text()).group(1)
+    argv = next(argv for argv in _command_lines() if argv[0] == "potential")
+    argv[argv.index("--samples") + 1] = "1"
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == documented + "\n"
+    assert not list(tmp_path.iterdir())

@@ -646,3 +646,92 @@ def test_one_perturbative_window(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         correction(two_arm(g_inside))
+
+
+def test_nan_invariant_reaches_summary(tmp_path, monkeypatch):
+    """A record whose eigenvalue check failed keeps the summary's minimum NaN."""
+    import scipy.linalg
+
+    def refuse(*args, **kwargs):
+        raise np.linalg.LinAlgError("refused")
+
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def second_call_fails(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise np.linalg.LinAlgError("refused")
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cholesky", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", second_call_fails)
+    cfg = parse_config(
+        "scenario = free-check\ngrid.n = 64\ngrid.x_min = -10\ngrid.x_max = 10\n"
+        "packet.width = 0.8\nevolution.steps = 40\nevolution.record_every = 10\n"
+    )
+    assert run(cfg, tmp_path / "run").status == "ok"
+    assert len(calls) == 5  # one dense spectrum per record, the Cholesky bound refused
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert math.isnan(summary["min_eigenvalue"])
+
+
+def test_crosscheck_refuses_coupling_before_any_full_run(tmp_path, monkeypatch):
+    # S0 / hbar = 0.6 g T = 0.15 at g = 1 over the default 500 steps of 5e-4.
+    cfg = parse_config("scenario = perturbative-crosscheck\ngrid.n = 128\ncoupling.g = 1.0\n")
+    calls = []
+    evolve = scenarios.evolve
+    monkeypatch.setattr(scenarios, "evolve", lambda *args, **kwargs: calls.append(None) or evolve(*args, **kwargs))
+    with pytest.raises(ValidationError, match="coupling too large for a first-order split"):
+        run(cfg, tmp_path / "run")
+    assert calls == []
+    assert read_manifest(tmp_path / "run")["status"] == "error"
+
+
+# The same sweep as `gravtwin cow` flags and as cow-sweep config lines.
+COW_SWEEPS = {
+    "neutron": (
+        ["--preset", "neutron", "--delta-sweep", "0:1.3e-33:64"],
+        "cow.delta_stop = 1.3e-33\ncow.delta_points = 64\n",
+    ),
+    "custom": (
+        ["--mass", "1.2e-25", "--radius", "3e-10", "--L", "0.5", "--v", "150", "--delta-sweep", "0:2.6e-33:50"],
+        "cow.preset = custom\ncow.mass = 1.2e-25\ncow.radius = 3e-10\ncow.L = 0.5\ncow.v = 150\n"
+        "cow.delta_stop = 2.6e-33\ncow.delta_points = 50\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("geometry", COW_SWEEPS)
+def test_cow_verb_writes_the_cow_sweep_csv(tmp_path, geometry):
+    flags, lines = COW_SWEEPS[geometry]
+    out = tmp_path / "cow.csv"
+    assert cli.main(["cow", *flags, "--out", str(out)]) == 0
+    run(parse_config(f"scenario = cow-sweep\n{lines}"), tmp_path / "run")
+    assert out.read_bytes() == (tmp_path / "run" / "cow.csv").read_bytes()
+
+
+# The config key each flag of BAD_FLAG_VALUES stands for, per verb.
+FLAG_KEYS = {
+    "potential": {"--mass": ("species.mass",), "--radius": ("species.radius",),
+                  "--r-max": ("potential.r_max",), "--samples": ("potential.samples",)},
+    "cow": {"--mass": ("cow.mass",), "--radius": ("cow.radius",), "--L": ("cow.L",), "--v": ("cow.v",),
+            "--delta-sweep": ("cow.delta_start", "cow.delta_stop", "cow.delta_points")},
+}
+
+
+@pytest.mark.parametrize("verb, flag, value", BAD_FLAG_VALUES, ids=[f"{v}{f}={x}" for v, f, x in BAD_FLAG_VALUES])
+def test_cli_bad_number_reads_as_its_config_key(tmp_path, capsys, verb, flag, value):
+    """A bad flag fails as its key does in a config file; only the leading name differs."""
+    flags = {**(POTENTIAL_ARGV if verb == "potential" else COW_ARGV), flag: value}
+    assert cli.main([verb, *(f"{f}={v}" for f, v in flags.items()), "--out", str(tmp_path / "x.csv")]) == 1
+    cli_name, cli_rest = capsys.readouterr().err.removeprefix("invalid input: ").rstrip("\n").split(": ", 1)
+
+    lines = ["scenario = potential-scan" if verb == "potential" else "scenario = cow-sweep\ncow.preset = custom"]
+    for f, v in flags.items():
+        lines += [f"{key} = {part}" for key, part in zip(FLAG_KEYS[verb][f], v.split(":"))]
+    with pytest.raises(ConfigError) as err:
+        parse_config("\n".join(lines) + "\n")
+    key, rest = str(err.value).split(": ", 1)
+    assert (cli_name, cli_rest) == (flag, rest)
+    assert key in FLAG_KEYS[verb][flag]
