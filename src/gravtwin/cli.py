@@ -54,7 +54,7 @@ def _build_parser() -> _Parser:
     p_pot.add_argument("--mass", required=True, help="sphere mass, kg")
     p_pot.add_argument("--radius", required=True, help="sphere radius, m")
     p_pot.add_argument("--r-max", required=True, help="largest separation, m")
-    p_pot.add_argument("--samples", default="1024")
+    p_pot.add_argument("--samples")
     p_pot.add_argument("--out", required=True, help="CSV path")
 
     p_cow = sub.add_parser("cow", help="two-arm fringe sweep with the pair correction")

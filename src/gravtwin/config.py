@@ -231,8 +231,10 @@ def _canonical(value: object) -> str:
     return str(value)
 
 
-def read(scenario: str, raw: Mapping[str, str], names: Mapping[str, str] | None = None) -> ScenarioConfig:
+def read(scenario: str, raw: Mapping[str, str | None], names: Mapping[str, str] | None = None) -> ScenarioConfig:
     """The config of scenario from the text of the keys in raw; defaults fill the rest.
+
+    A key whose text is None counts as not given, so it takes its default.
 
     names maps a key to the name its value was given under, such as a
     command-line flag; the key's errors start with that name.
@@ -252,7 +254,7 @@ def read(scenario: str, raw: Mapping[str, str], names: Mapping[str, str] | None 
 
     raw = {**raw, "scenario": scenario}  # a caller other than parse_config leaves it out
     values = {
-        key: _coerce(name(key), spec, raw[key]) if key in raw else spec.default
+        key: spec.default if raw.get(key) is None else _coerce(name(key), spec, raw[key])
         for key, spec in schema.items()
     }
     return _build(scenario, values, name)

@@ -7,7 +7,7 @@ hbar = 1; the single surviving knob is the coupling g = G m^3 l / hbar^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -18,6 +18,7 @@ NEWTON_G_SI = 6.67430e-11  # m^3 kg^-1 s^-2
 
 # How far a state's norm may sit from 1 before it is rejected as not normalized.
 UNIT_NORM_TOL = 1e-8
+_SKEW_BLOCK = 32  # rows per block of max_skew: at n = 512 a block is 256 KB, a cache-sized temporary
 
 
 class ValidationError(ValueError):
@@ -27,6 +28,26 @@ class ValidationError(ValueError):
 def _readonly(a: NDArray) -> NDArray:
     a.setflags(write=False)
     return a
+
+
+def max_skew(m: NDArray, conjugate: bool = False) -> float:
+    """max |M - M^T| of a square M, or max |M - M^H| with conjugate, without an n x n temporary.
+
+    Entry (j, i) of M - M^T is minus entry (i, j) to the last bit, and the
+    modulus ignores the sign, so only the blocks on and above the diagonal
+    are formed: rows i..i+31 against the matching columns.  Each entry is
+    the dense formula's, so the maximum is bitwise the dense one, and a
+    NaN anywhere in M still comes out as NaN.
+    """
+    n = m.shape[0]
+    maxima = []
+    for i in range(0, n, _SKEW_BLOCK):
+        j = i + _SKEW_BLOCK
+        mirror = m[i:, i:j].T
+        if conjugate:
+            mirror = mirror.conj()
+        maxima.append(np.max(np.abs(m[i:j, i:] - mirror)))
+    return float(np.max(maxima))
 
 
 @dataclass(frozen=True)
@@ -116,15 +137,21 @@ class MetaState:
 
     amplitudes[i, j] is the value at (x[i], x~[j]).  The squared norm is
     the Riemann sum with weight dx^2.  Instances are immutable; the
-    array is marked read only.
+    array is marked read only.  A caller that hands over a freshly built
+    array and keeps no other reference to it passes adopt=True to skip the
+    defensive copy.
     """
 
     grid: Grid1D
     amplitudes: NDArray[np.complex128] = field(repr=False)
     time: float = 0.0
+    adopt: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
-        a = np.array(self.amplitudes, dtype=np.complex128, copy=True, order="C")
+    def __post_init__(self, adopt: bool) -> None:
+        if adopt:
+            a = np.asarray(self.amplitudes, dtype=np.complex128, order="C")
+        else:
+            a = np.array(self.amplitudes, dtype=np.complex128, copy=True, order="C")
         if a.shape != (self.grid.n, self.grid.n):
             raise ValidationError(
                 f"amplitudes shape {a.shape} does not match grid n={self.grid.n}"
@@ -139,7 +166,7 @@ class MetaState:
 
     def exchange_asymmetry(self) -> float:
         """max |Psi(x, x~) - Psi(x~, x)|; zero for symmetric states."""
-        return float(np.max(np.abs(self.amplitudes - self.amplitudes.T)))
+        return max_skew(self.amplitudes)
 
 
 @dataclass(frozen=True)
@@ -319,7 +346,7 @@ class SeparatedState:
         amps = hankel[0] * toeplitz[0]
         for k in range(1, self.com.shape[0]):
             amps += hankel[k] * toeplitz[k]
-        return MetaState(grid=self.grid, amplitudes=amps, time=self.time)
+        return MetaState(grid=self.grid, amplitudes=amps, time=self.time, adopt=True)
 
 
 def separated_axes(grid: Grid1D) -> tuple[NDArray[np.float64], NDArray[np.float64]]:

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.linalg
 from numpy.typing import NDArray
 
-from .core import UNIT_NORM_TOL, Grid1D, MetaState, ValidationError, check_unit_norm
+from .core import UNIT_NORM_TOL, Grid1D, MetaState, ValidationError, check_unit_norm, max_skew
 
 _HERMITICITY_TOL = 1e-10
 # Weights below this are excluded from p ln p.  The range finder stops once
@@ -65,7 +65,7 @@ class ReducedDensityMatrix:
             )
         if not np.all(np.isfinite(r.view(np.float64))):
             raise ValidationError("rho contains non-finite entries")
-        herm = float(np.max(np.abs(r - r.conj().T)))
+        herm = max_skew(r, conjugate=True)
         if herm >= _HERMITICITY_TOL:
             raise ValidationError(f"rho is not Hermitian: max |rho - rho^H| = {herm:.3e}")
         object.__setattr__(self, "hermiticity", herm)
@@ -112,15 +112,26 @@ class ReducedDensityMatrix:
         return w
 
 
+@lru_cache(maxsize=8)
+def _test_matrix(n: int, r: int) -> NDArray[np.complex128]:
+    """The range finder's n x r complex Gaussian Omega, read only.
+
+    Drawn from default_rng([n, r]), so fixed by (n, r) alone: the same
+    bytes on every run.
+    """
+    rng = np.random.default_rng([n, r])
+    omega = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
+    omega.setflags(write=False)
+    return omega
+
+
 def _leading_weights(a: NDArray[np.complex128], dx: float) -> NDArray[np.float64]:
     """Ascending squared singular values of A dx whose sum misses ||A dx||_F^2 by less than _EIG_FLOOR."""
     n = a.shape[0]
     total = float(np.vdot(a, a).real) * dx * dx
     r = min(_FIRST_RANK, n)
     while True:
-        rng = np.random.default_rng([n, r])  # fixed by (n, r) alone: the same bytes on every run
-        omega = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
-        q = np.linalg.qr(a @ omega)[0]
+        q = np.linalg.qr(a @ _test_matrix(n, r))[0]
         q = np.linalg.qr((q.conj().T @ a).conj().T)[0]  # A^H Q, without conjugating A
         q = np.linalg.qr(a @ q)[0]
         s = np.linalg.svd((q.conj().T @ a) * dx, compute_uv=False)
@@ -136,11 +147,28 @@ def partial_trace(state: MetaState) -> ReducedDensityMatrix:
     The input must be normalized (check_unit_norm); a drifted state is
     rejected, never renormalized.  The result keeps the state's
     amplitudes, read only and not copied, as the factor of rho.
+
+    rho = A A^H dx comes from two real products and is Hermitian by
+    construction.  With F the n x 2n real view of A (real and imaginary
+    parts interleaved, no copy), Re rho = F F^T dx, which numpy hands to
+    the symmetric rank-k update, so it is exactly symmetric.  Im rho =
+    (D - D^T) dx with D = Im A (Re A)^T, one real product on contiguous
+    copies of the two parts, so it is exactly antisymmetric.
     """
     check_unit_norm(state)
     a = state.amplitudes
-    rho = a @ a.conj().T
-    rho *= state.grid.dx
+    n, dx = state.grid.n, state.grid.dx
+    f = a.view(np.float64)
+    real = f @ f.T
+    parts = f.reshape(n, n, 2).transpose(2, 0, 1).copy()  # Re A, Im A
+    d = parts[1] @ parts[0].T
+    del parts
+    rho = np.empty((n, n), dtype=np.complex128)
+    np.multiply(real, dx, out=rho.real)
+    del real
+    imag = rho.imag
+    np.subtract(d, d.T, out=imag)
+    imag *= dx
     return ReducedDensityMatrix(grid=state.grid, rho=rho, factor=a, adopt=True)
 
 
@@ -161,8 +189,8 @@ class DecoherenceReport:
 @lru_cache(maxsize=8)
 def _far_mask(grid: Grid1D, d_cut: float) -> NDArray[np.bool_]:
     """|x - x'| > d_cut over the grid, read only."""
-    x = grid.x
-    far = np.abs(x[:, None] - x[None, :]) > d_cut
+    dist = np.subtract.outer(grid.x, grid.x)
+    far = np.abs(dist, out=dist) > d_cut
     far.setflags(write=False)
     return far
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from gravtwin import (
     separated_product_state,
     structural_checks,
 )
+from gravtwin.core import max_skew
 
 
 def grid_default(n=256, half_span=16.0):
@@ -250,6 +252,61 @@ def test_factor_weights_match_dense_spectrum(oracle_states, case):
     bound = structural_checks(state, rho)["min_eigenvalue"]
     assert bound <= dense[-1]
     assert bound > -1e-10
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES, ids=[f"{kind}-n{n}" for n, kind in ORACLE_CASES])
+def test_rho_matches_the_complex_product(oracle_states, case):
+    """rho from the real products agrees with A A^H dx and is exactly Hermitian."""
+    state = oracle_states[case]
+    a = state.amplitudes
+    oracle = a @ a.conj().T * state.grid.dx
+    rho = partial_trace(state).rho
+    assert np.max(np.abs(rho - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+    assert np.array_equal(rho, rho.conj().T)
+    assert rho.flags.c_contiguous and not rho.flags.writeable
+
+
+def _planted(n, conjugate, row):
+    """A random symmetric (or Hermitian) n x n matrix with one entry of `row` pushed off by 1e-3."""
+    rng = np.random.default_rng([n, row])
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    m = x + (x.conj().T if conjugate else x.T)
+    m[row, (row * 7 + 3) % n] += 1e-3 * (1 + 1j)
+    return m
+
+
+@pytest.mark.parametrize("conjugate", [False, True], ids=["transpose", "adjoint"])
+@pytest.mark.parametrize("n", [8, 16, 64, 512])
+def test_max_skew_is_bitwise_the_dense_maximum(n, conjugate):
+    # the planted entry sits in the first, a middle and the last block of 32 rows
+    for row in sorted({0, n // 2 + 1, n - 1}):
+        m = _planted(n, conjugate, row)
+        dense = np.max(np.abs(m - (m.conj().T if conjugate else m.T)))
+        assert max_skew(m, conjugate) == dense
+    noise = np.random.default_rng(n).standard_normal((n, n)) * (1 + 0.5j)
+    assert max_skew(noise, conjugate) == np.max(np.abs(noise - (noise.conj().T if conjugate else noise.T)))
+    noise[n - 1, 0] = np.nan
+    assert math.isnan(max_skew(noise, conjugate))
+
+
+def test_one_record_peaks_at_three_square_arrays():
+    """Gather, partial trace and both reports hold at most 3.25 n x n complex arrays at once."""
+    n = 256
+    sep = separated_product_state(Grid1D(-16.0, 16.0, n), (-3.0, 3.0), 0.7, 0.5)
+
+    def record():
+        state = sep.metastate()
+        rho = partial_trace(state)
+        return structural_checks(state, rho), decoherence_report(rho, d_cut=2.8)
+
+    record()  # fills the cached far mask and range-finder test matrices
+    tracemalloc.start()
+    try:
+        record()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.25 * n * n * 16
 
 
 def test_spread_state_reaches_full_rank(monkeypatch):

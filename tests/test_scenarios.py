@@ -735,3 +735,11 @@ def test_cli_bad_number_reads_as_its_config_key(tmp_path, capsys, verb, flag, va
     key, rest = str(err.value).split(": ", 1)
     assert (cli_name, cli_rest) == (flag, rest)
     assert key in FLAG_KEYS[verb][flag]
+
+
+def test_potential_verb_defaults_to_the_schema_sample_count(tmp_path, capsys):
+    """Without --samples the verb writes as many rows as `scenario = potential-scan` does."""
+    out = tmp_path / "v.csv"
+    assert cli.main(["potential", "--mass", "1", "--radius", "1", "--r-max", "10", "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == parse_config("scenario = potential-scan\n").values["potential.samples"] == 4096
