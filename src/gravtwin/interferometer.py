@@ -114,14 +114,65 @@ def _actions_cached(
 
 def _actions(cfg: InterferometerConfig) -> tuple[float, float]:
     # The actions are cached per geometry (species, units, v, T): delta
-    # plays no role in them, so a sweep runs the closed form and its
-    # quadrature cross-check once, not once per point.
+    # plays no role in them.  A sweep takes them once for all its points
+    # (`_corrections`), and the cache serves later calls on the geometry.
     return _actions_cached(cfg.species, cfg.units, cfg.v, cfg.T)
 
 
 def zeroth_order_probability(cfg: InterferometerConfig) -> float:
     """Exit-port probability with the pair coupling off: cos^2(delta / 2 hbar)."""
     return math.cos(0.5 * cfg.delta / cfg.units.hbar) ** 2
+
+
+def _first_order(delta: float, hbar: float, s0: float, s1: float) -> CorrectionResult:
+    """The closed form of `correction` at one delta, given the geometry's actions."""
+    theta = 0.5 * delta / hbar
+    big_delta = delta / hbar
+    cos_theta = math.cos(theta)
+    amp0 = complex(cos_theta)
+    prob0 = cos_theta**2  # zeroth_order_probability, same operations
+    if s0 == 0.0:
+        return CorrectionResult(
+            A=amp0, a=0j, Aa_star=0j,
+            prob_zeroth=prob0, prob_correction=0.0, S_G0=0.0, S_G1=0.0,
+        )
+    bracket = (
+        0.5
+        + math.cos(big_delta)
+        + 0.5 * math.cos(2.0 * big_delta)
+        + (s1 / s0) * (1.0 + math.cos(big_delta))
+    )
+    aa_star = (-1j * s0 / (4.0 * hbar)) * bracket
+    amp1 = (1j / (2.0 * hbar)) * cos_theta * (s0 * math.cos(big_delta) + s1)
+    return CorrectionResult(
+        A=amp0,
+        a=amp1,
+        Aa_star=aa_star,
+        prob_zeroth=prob0,
+        prob_correction=2.0 * aa_star.real,
+        S_G0=s0,
+        S_G1=s1,
+    )
+
+
+def _corrections(cfg: InterferometerConfig, deltas) -> list[CorrectionResult]:
+    """`correction(replace(cfg, delta=d))` for each float d, bit for bit, in one pass.
+
+    The actions and the perturbative-window check are taken once, and no
+    config is built per point, so each d must pass InterferometerConfig's
+    delta check; that check holds on an interval in |d|, so a sweep
+    whose two ends pass it passes it everywhere.
+    """
+    hbar = cfg.units.hbar
+    s0, s1 = _actions(cfg)
+    if s0 != 0.0 and s0 / hbar >= PERTURBATIVE_WINDOW:  # s0 / hbar is PairPotential.action_over_hbar(T)
+        warnings.warn(
+            f"coupling action S0/hbar = {s0 / hbar:.3g} is not small; "
+            "the first-order result is outside its validity window",
+            PerturbativeRegimeWarning,
+            stacklevel=3,
+        )
+    return [_first_order(d, hbar, s0, s1) for d in deltas]
 
 
 def correction(cfg: InterferometerConfig) -> CorrectionResult:
@@ -135,41 +186,7 @@ def correction(cfg: InterferometerConfig) -> CorrectionResult:
     with a real bracket, so Re(A a*) vanishes identically and the
     first-order probability shift is exactly zero.
     """
-    hbar = cfg.units.hbar
-    theta = 0.5 * cfg.delta / hbar
-    big_delta = cfg.delta / hbar
-    amp0 = complex(math.cos(theta))
-    prob0 = zeroth_order_probability(cfg)
-    s0, s1 = _actions(cfg)
-    if s0 == 0.0:
-        return CorrectionResult(
-            A=amp0, a=0j, Aa_star=0j,
-            prob_zeroth=prob0, prob_correction=0.0, S_G0=0.0, S_G1=0.0,
-        )
-    if s0 / hbar >= PERTURBATIVE_WINDOW:  # s0 / hbar is PairPotential.action_over_hbar(T)
-        warnings.warn(
-            f"coupling action S0/hbar = {s0 / hbar:.3g} is not small; "
-            "the first-order result is outside its validity window",
-            PerturbativeRegimeWarning,
-            stacklevel=2,
-        )
-    bracket = (
-        0.5
-        + math.cos(big_delta)
-        + 0.5 * math.cos(2.0 * big_delta)
-        + (s1 / s0) * (1.0 + math.cos(big_delta))
-    )
-    aa_star = (-1j * s0 / (4.0 * hbar)) * bracket
-    amp1 = (1j / (2.0 * hbar)) * math.cos(theta) * (s0 * math.cos(big_delta) + s1)
-    return CorrectionResult(
-        A=amp0,
-        a=amp1,
-        Aa_star=aa_star,
-        prob_zeroth=prob0,
-        prob_correction=2.0 * aa_star.real,
-        S_G0=s0,
-        S_G1=s1,
-    )
+    return _corrections(cfg, (cfg.delta,))[0]
 
 
 # Enumeration conventions, fixed once:

@@ -134,36 +134,32 @@ class PairPotential:
         s_max = v * T / math.sqrt(2.0)
         closed = -(math.sqrt(2.0) / v) * self._antiderivative(s_max)
 
-        # Integrate in t, splitting at the branch point and then one
-        # panel per decade: the 1/r tail accumulates logarithmically, so
-        # a single pass over (possibly) a dozen decades of t would
-        # starve the sampler.
+        # Two panels, split at the branch point.  The core panel runs in t,
+        # where V(sqrt(2) v t) is a quintic.  The tail panel runs in
+        # u = ln t, where the 1/r tail makes V(sqrt(2) v e^u) e^u constant
+        # over however many decades of t the flight spans.  Both
+        # integrands are exact for the first Gauss-Kronrod pass.
         R = self.species.radius
         t_half = T / 2.0
         t_break = 2.0 * R / (math.sqrt(2.0) * v)
-        edges = [0.0, min(t_break, t_half)]
+        # V on plain floats, not through `evaluate`: its array route costs
+        # ~100x more per scalar.
+        G = self.units.G
+        m = self.species.mass
+        speed = math.sqrt(2.0) * v
+        options = dict(limit=200, epsrel=1e-12, epsabs=1e-14 * abs(closed))
+        total, _ = quad(lambda t: _float_value(speed * t, G, m, R), 0.0, min(t_break, t_half), **options)
         if t_half > t_break:
             ratio = t_half / t_break if t_break > 0 else math.inf
             if not math.isfinite(ratio):
                 raise ValidationError(
                     f"separating action: panel ratio t_half / t_break = {ratio!r} is not finite"
                 )
-            decades = max(1, math.ceil(math.log10(ratio)))
-            edges.extend(t_break * ratio ** (j / decades) for j in range(1, decades + 1))
-        # V on plain floats, not through `evaluate`: its array route costs
-        # ~100x more per scalar, and quad samples ~10^3 points per geometry.
-        G = self.units.G
-        m = self.species.mass
-        speed = math.sqrt(2.0) * v
-        integrand = lambda t: _float_value(speed * t, G, m, R)
-        total = 0.0
-        for a, b in zip(edges, edges[1:]):
-            if b <= a:
-                continue
-            est, _ = quad(
-                integrand, a, b, limit=200, epsrel=1e-12, epsabs=1e-14 * abs(closed)
+            tail, _ = quad(
+                lambda u: _float_value(speed * math.exp(u), G, m, R) * math.exp(u),
+                math.log(t_break), math.log(t_half), **options,
             )
-            total += est
+            total += tail
         numeric = -2.0 * total
 
         denom = max(abs(closed), abs(numeric))

@@ -37,7 +37,7 @@ from .core import gaussian_product_metastate, gaussian_wavepacket, product_metas
 from .evolve import NumericalAbort, dyson_first_order, evolve, first_order_position_density
 from .interferometer import (
     CorrectionResult,
-    correction,
+    _corrections,
     harmonic_coefficient_diff,
     pair_enumeration_oracle,
 )
@@ -324,7 +324,8 @@ def _cow_sweep(cfg: ScenarioConfig) -> tuple[NDArray[np.float64], bytes, list[Co
     deltas = np.linspace(
         cfg.values["cow.delta_start"], cfg.values["cow.delta_stop"], cfg.values["cow.delta_points"]
     )
-    results = [correction(replace(cfg.two_arm, delta=float(d))) for d in deltas]
+    # read() checked both ends against the geometry, so every delta between them passes.
+    results = _corrections(cfg.two_arm, map(float, deltas))
     rows = (
         (d, r.prob_zeroth, r.Aa_star.real, r.Aa_star.imag, r.S_G0, r.S_G1)
         for d, r in zip(deltas, results)

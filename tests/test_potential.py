@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
+import gravtwin.potential
 from gravtwin import (
     Grid1D,
     InterferometerConfig,
@@ -220,7 +224,7 @@ def test_float_branches_match_evaluate(mass, radius):
 @pytest.mark.parametrize("v", SCAN_SPEEDS)
 def test_quadrature_agrees_at_geometry_scan_corners(mass, radius, L, v):
     # R = 1e-15, L = 1, v = 10^1.5 spans about 15 decades of flight time
-    # beyond the branch point, one quadrature panel each.
+    # beyond the branch point, all in the one ln t panel.
     pair = PairPotential(ParticleSpecies(mass=mass, radius=radius), UnitSystem.si())
     T = InterferometerConfig(pair.species, L=L, v=v, delta=0.0, units=pair.units).T
     act = pair.action_integral_separating(v=v, T=T)
@@ -228,19 +232,105 @@ def test_quadrature_agrees_at_geometry_scan_corners(mass, radius, L, v):
     np.testing.assert_allclose(act.quadrature, act.closed_form, rtol=1e-10)
 
 
+def per_decade_quadrature(pair, v, T):
+    """-2 times the integral of V(sqrt(2) v t) over [0, T/2] in t, one panel per decade of the tail.
+
+    An independent oracle for the package's quadrature: the same quad
+    settings, but every panel in t and none wider than a decade, so no
+    change of variable is shared with the code under test.
+    """
+    G, m, R = pair.units.G, pair.species.mass, pair.species.radius
+    speed = math.sqrt(2.0) * v
+    t_half = T / 2.0
+    t_break = 2.0 * R / speed
+    edges = [0.0, min(t_break, t_half)]
+    if t_half > t_break:
+        ratio = t_half / t_break
+        decades = max(1, math.ceil(math.log10(ratio)))
+        edges.extend(t_break * ratio ** (j / decades) for j in range(1, decades + 1))
+    closed = pair.action_integral_separating(v, T).closed_form
+    total = 0.0
+    for a, b in zip(edges, edges[1:]):
+        if b > a:
+            total += quad(
+                lambda t: _float_value(speed * t, G, m, R), a, b,
+                limit=200, epsrel=1e-12, epsabs=1e-14 * abs(closed),
+            )[0]
+    return -2.0 * total
+
+
+def scan_corner(mass, radius, L, v):
+    pair = PairPotential(ParticleSpecies(mass=mass, radius=radius), UnitSystem.si())
+    return pair, v, 2.0 * L / v
+
+
+# (pair, v, T) per geometry: the geometry-scan corners, the neutron bench,
+# a flight that never leaves the core, and the two acceptance families of
+# criterion 4 (dimensionless speed sweep, neutron speed sweep).
+SCAN_CORNERS = [
+    scan_corner(mass, radius, L, v)
+    for mass in SCAN_MASSES for radius in SCAN_RADII for L in SCAN_ARMS for v in SCAN_SPEEDS
+]
+NEUTRON_BENCH = (neutron_pair()[1], 2.2e3, 2 * 0.10 / 2.2e3)
+CORE_ONLY = (dimensionless_pair(), 1.0, 1.0)
+FIFTEEN_DECADES = scan_corner(1e-27, 1e-15, 1.0, 10**1.5)
+DIMENSIONLESS_FAMILY = [(dimensionless_pair(), float(v), 1.0) for v in np.geomspace(0.02, 40.0, 50)]
+NEUTRON_FAMILY = [
+    (neutron_pair()[1], float(v), 2 * 0.10 / float(v)) for v in np.geomspace(5e2, 5e3, 50)
+]
+
+
 @pytest.mark.parametrize(
-    "pair, v, T",
-    [
-        (neutron_pair()[1], 2.2e3, 2 * 0.10 / 2.2e3),
-        (dimensionless_pair(), 1.0, 1.0),  # the core regime: no tail panel
-    ],
-    ids=["neutron", "core-regime"],
+    "geometries",
+    [SCAN_CORNERS, [NEUTRON_BENCH], [CORE_ONLY], DIMENSIONLESS_FAMILY, NEUTRON_FAMILY],
+    ids=["scan-corners", "neutron", "core-regime", "criterion-4-dimensionless", "criterion-4-neutron"],
 )
-def test_quadrature_catches_a_wrong_closed_form(monkeypatch, pair, v, T):
+def test_quadrature_matches_the_per_decade_oracle(geometries):
+    for pair, v, T in geometries:
+        act = pair.action_integral_separating(v=v, T=T)
+        oracle = per_decade_quadrature(pair, v, T)
+        assert abs(act.quadrature - oracle) <= 1e-12 * abs(oracle), (v, T)
+
+
+def test_quadrature_makes_at_most_two_quad_calls(monkeypatch):
+    # One core panel in t and one tail panel in ln t, whatever the span.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(gravtwin.potential, "quad", counted)
+    for pair, v, T in [*SCAN_CORNERS, NEUTRON_BENCH, CORE_ONLY, FIFTEEN_DECADES]:
+        calls.clear()
+        pair.action_integral_separating(v=v, T=T)
+        assert 1 <= len(calls) <= 2, (v, T)
+
+
+def off_everywhere(exact, radius):
+    return lambda self, s: (1.0 + 1e-9) * exact(self, s)
+
+
+def off_on_the_tail(exact, radius):
+    return lambda self, s: (1.0 + 1e-9) * exact(self, s) if s > 2.0 * radius else exact(self, s)
+
+
+@pytest.mark.parametrize(
+    "mutation, geometry",
+    [
+        (off_everywhere, NEUTRON_BENCH),
+        (off_everywhere, CORE_ONLY),  # no tail panel
+        (off_everywhere, FIFTEEN_DECADES),
+        (off_on_the_tail, NEUTRON_BENCH),
+        (off_on_the_tail, FIFTEEN_DECADES),
+    ],
+    ids=["neutron", "core-regime", "fifteen-decades", "tail-only-neutron", "tail-only-fifteen-decades"],
+)
+def test_quadrature_catches_a_wrong_closed_form(monkeypatch, mutation, geometry):
     # A closed form off by 1e-9 relative must trip the 1e-10 gate.
-    exact = PairPotential._antiderivative
+    pair, v, T = geometry
     monkeypatch.setattr(
-        PairPotential, "_antiderivative", lambda self, s: (1.0 + 1e-9) * exact(self, s)
+        PairPotential, "_antiderivative", mutation(PairPotential._antiderivative, pair.species.radius)
     )
     with pytest.raises(ArithmeticError, match="disagree"):
         pair.action_integral_separating(v=v, T=T)

@@ -1,7 +1,10 @@
 import hashlib
 import json
 import math
+import sys
 import warnings
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +34,8 @@ from gravtwin import (
 from gravtwin.config import SCHEMAS
 from gravtwin.potential import PERTURBATIVE_WINDOW
 from gravtwin.scenarios import TIMESERIES_COLUMNS, _full_observer
+
+ROOT = Path(__file__).resolve().parents[1]
 
 TWO_PACKET_SMALL = """
 # quick demonstration geometry for the test suite
@@ -709,6 +714,84 @@ def test_cow_verb_writes_the_cow_sweep_csv(tmp_path, geometry):
     assert cli.main(["cow", *flags, "--out", str(out)]) == 0
     run(parse_config(f"scenario = cow-sweep\n{lines}"), tmp_path / "run")
     assert out.read_bytes() == (tmp_path / "run" / "cow.csv").read_bytes()
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    """The benchmark's `inputs` and `checks` modules, imported from perfbench/ as its child does."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    for name in ("inputs", "checks"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    import checks
+    import inputs
+
+    return inputs, checks
+
+
+def geometry_config(geo: dict, points: int):
+    """The cow-sweep config of one geometry-scan geometry, as `gravtwin cow` reads its flags."""
+    return parse_config(
+        "scenario = cow-sweep\ncow.preset = custom\n"
+        f"cow.mass = {geo['mass']!r}\ncow.radius = {geo['radius']!r}\ncow.L = {geo['L']!r}\n"
+        f"cow.v = {geo['v']!r}\ncow.delta_stop = {geo['delta_stop']!r}\ncow.delta_points = {points}\n"
+    )
+
+
+def result_bits(res):
+    """Each field of a CorrectionResult as the hex of its float parts: equal bits, not only equal values."""
+    bits = []
+    for f in fields(res):
+        value = getattr(res, f.name)
+        parts = (value.real, value.imag) if isinstance(value, complex) else (value,)
+        bits.append(tuple(float(part).hex() for part in parts))
+    return bits
+
+
+def assert_sweep_is_per_point_correction(cfg):
+    deltas, _, results = scenarios._cow_sweep(cfg)
+    assert len(deltas) == len(results) == cfg.values["cow.delta_points"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PerturbativeRegimeWarning)
+        for d, res in zip(deltas, results):
+            assert result_bits(res) == result_bits(correction(replace(cfg.two_arm, delta=float(d)))), d
+
+
+def test_cow_sweep_is_per_point_correction_on_the_neutron_preset():
+    cfg = parse_config("scenario = cow-sweep\n")
+    assert cfg.values["cow.delta_points"] == 1000
+    assert_sweep_is_per_point_correction(cfg)
+
+
+def test_cow_sweep_is_per_point_correction_on_a_geometry_scan_operation(bench):
+    inputs, _ = bench
+    geometries = inputs.op_geometries(1, 0)
+    assert len(geometries) == 24
+    for geo in geometries:
+        assert_sweep_is_per_point_correction(geometry_config(geo, inputs.GEOMETRY_POINTS))
+
+
+def test_cow_sweep_past_the_perturbative_window_warns_once():
+    # S0 / hbar = 0.6 G m^2 T / (R hbar), about 80 here.
+    geo = {"mass": 1e-15, "radius": 1e-9, "L": 1.0, "v": 10.0, "delta_stop": 1e-33}
+    cfg = geometry_config(geo, 16)
+    assert PairPotential(cfg.species, cfg.units).action_over_hbar(cfg.two_arm.T) >= PERTURBATIVE_WINDOW
+    with pytest.warns(PerturbativeRegimeWarning) as caught:
+        assert_sweep_is_per_point_correction(cfg)
+    assert len(caught) == 1
+
+
+def test_a_geometry_scan_operation_passes_the_benchmark_checks(tmp_path, bench):
+    # The benchmark's own output checks, run on one operation of its
+    # geometry-scan workload through the CLI entry point it times.
+    inputs, checks = bench
+    for j, geo in enumerate(inputs.op_geometries(1, 0)):
+        out = tmp_path / f"g{j}.csv"
+        assert cli.main(inputs.cow_argv(geo, str(out))) == 0
+        problems = checks.check_sweep(
+            out.read_bytes(), 0.0, geo["delta_stop"], inputs.GEOMETRY_POINTS,
+            geo["mass"], geo["radius"], geo["L"], geo["v"],
+        )
+        assert problems == [], (j, problems)
 
 
 # The config key each flag of BAD_FLAG_VALUES stands for, per verb.
