@@ -13,7 +13,6 @@ from ._version import __version__
 from .core import (
     HBAR_SI,
     NEWTON_G_SI,
-    ExternalPotential,
     Grid1D,
     MetaState,
     ParticleSpecies,
@@ -73,7 +72,6 @@ __all__ = [
     "DecoherenceReport",
     "EvolutionConfig",
     "EvolutionRecord",
-    "ExternalPotential",
     "Grid1D",
     "HarmonicCoefficientDiff",
     "InterferometerConfig",

@@ -169,47 +169,6 @@ class MetaState:
         return max_skew(self.amplitudes)
 
 
-@dataclass(frozen=True)
-class ExternalPotential:
-    """One-body potential applied identically to both copies.
-
-    Kinds: none, uniform-field (slope a, V = a x), harmonic
-    (V = m omega^2 x^2 / 2).  Each is a polynomial of degree <= 2 with
-    V(0) = 0, so V(x) + V(x~) = 2 V(X) + [V(r) + V(-r)] / 4 exactly, for
-    X = (x + x~)/2 and r = x - x~.
-    """
-
-    kind: str = "none"
-    slope: float = 0.0
-    omega: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("none", "uniform-field", "harmonic"):
-            raise ValidationError(f"unknown potential kind {self.kind!r}")
-        if not (math.isfinite(self.slope) and math.isfinite(self.omega)):
-            raise ValidationError("potential parameters must be finite")
-
-    @classmethod
-    def null(cls) -> "ExternalPotential":
-        return cls(kind="none")
-
-    @classmethod
-    def uniform_field(cls, slope: float) -> "ExternalPotential":
-        return cls(kind="uniform-field", slope=slope)
-
-    @classmethod
-    def harmonic(cls, omega: float) -> "ExternalPotential":
-        return cls(kind="harmonic", omega=omega)
-
-    def sample(self, x: NDArray[np.float64], species: ParticleSpecies) -> NDArray[np.float64]:
-        """V at the sample points x, in the active unit system's energy unit."""
-        if self.kind == "uniform-field":
-            return self.slope * x
-        if self.kind == "harmonic":
-            return 0.5 * species.mass * self.omega**2 * x**2
-        return np.zeros_like(x)
-
-
 def check_unit_norm(state: MetaState) -> None:
     """Reject a state whose norm sits more than UNIT_NORM_TOL from 1; never renormalise.
 
@@ -307,10 +266,10 @@ class SeparatedState:
     Psi(x_i, x~_j) = sum_k com[k, i + j] * rel[k, i - j + n]: com[k, s]
     sits at X_s = x_min + s dx / 2 and rel[k, m] at r_m = (m - n) dx, for
     s, m = 0 ... 2n - 1 (see separated_axes), so every pair grid point
-    lands exactly on a sample of both factors.  Under every external
-    potential kind the two factors evolve independently, one 1D problem
-    each.  Both
-    arrays are complex (K, 2n), validated and marked read only.
+    lands exactly on a sample of both factors.  The pair potential acts
+    on the separation alone, so the two factors evolve independently, one
+    1D problem each.  Both arrays are complex (K, 2n), validated and
+    marked read only.
     """
 
     grid: Grid1D

@@ -4,19 +4,17 @@ One step is the symmetric composition
 
     exp(-i V dt / 2 hbar) . exp(-i K dt / hbar) . exp(-i V dt / 2 hbar)
 
-with V = V_ext(x) + V_ext(x~) + V_pair(|x - x~|) applied pointwise in
-position space and the kinetic phase for both coordinates applied in one
-2D transform pass.  Second order in dt; exactly norm-preserving on the
-periodic grid.
+with V = V_pair(|x - x~|) applied pointwise in position space and the
+kinetic phase for both coordinates applied in one 2D transform pass.
+Second order in dt; exactly norm-preserving on the periodic grid.
 
 There is one engine per type of state, each with one such step applied
 to a stack of channels.  A MetaState is stepped on the n x n pair grid.
 A SeparatedState is stepped as its centre of mass X = (x + x~)/2 (mass
-2m, feeling 2 V_ext(X)) and separation r = x - x~ (mass m/2, feeling
-[V_ext(r) + V_ext(-r)] / 4 + V_pair(|r|)): every external kind is a
-polynomial of degree <= 2 with V_ext(0) = 0, so V above is exactly that
-sum and the step factorises into one 1D step per coordinate.  The pair
-amplitude is gathered only at record points that something reads.
+2m, free) and separation r = x - x~ (mass m/2, feeling V_pair(|r|)): V
+above depends on r alone, so the step factorises into one 1D step per
+coordinate.  The pair amplitude is gathered only at record points that
+something reads.
 
 evolve runs the coupled step.  dyson_first_order runs the same engine's
 coupling-free step, with the coupling's derivative inserted around it,
@@ -35,7 +33,6 @@ import scipy.fft as sfft
 from numpy.typing import NDArray
 
 from .core import (
-    ExternalPotential,
     Grid1D,
     MetaState,
     SeparatedState,
@@ -114,17 +111,11 @@ def _non_finite(arr: NDArray) -> int:
 class _GridEngine:
     """The 2D engine: n x n pair amplitudes, stacked as channels on a leading axis."""
 
-    def __init__(
-        self, state: MetaState, pot_ext: ExternalPotential, pair: PairPotential, cfg: EvolutionConfig,
-        coupled: bool,
-    ) -> None:
+    def __init__(self, state: MetaState, pair: PairPotential, cfg: EvolutionConfig, coupled: bool) -> None:
         self.workers = fft_workers()
         self.state, self.pair = state, pair
         grid, hbar = state.grid, pair.units.hbar
-        v_ext = pot_ext.sample(grid.x, pair.species)
-        v_diag = v_ext[:, None] + v_ext[None, :]
-        if coupled:
-            v_diag = v_diag + self.pair_samples()
+        v_diag = self.pair_samples() if coupled else 0.0
         k2 = grid.momentum_grid**2
         self.half_v = np.exp(-0.5j * cfg.dt / hbar * v_diag)
         self.full_k = np.exp(-0.5j * hbar * cfg.dt / pair.species.mass * (k2[:, None] + k2[None, :]))
@@ -157,26 +148,17 @@ class _SeparatedEngine:
     """The separated engine: centre-of-mass factors in channel 0, separation factors after it.
 
     Each channel is (K, 2n).  X sits on 2n points at dx/2 with mass 2m and
-    feels 2 V_ext(X); r sits on 2n points at dx with mass m/2 and feels
-    [V_ext(r) + V_ext(-r)] / 4, plus V_pair(|r|) when coupled.  A channel
-    whose potential is zero everywhere gets no phase at all.
+    runs free; r sits on 2n points at dx with mass m/2 and feels V_pair(|r|)
+    when coupled.  A pair potential that is zero everywhere (G = 0) gives
+    no phase at all.
     """
 
-    def __init__(
-        self, state: SeparatedState, pot_ext: ExternalPotential, pair: PairPotential, cfg: EvolutionConfig,
-        coupled: bool,
-    ) -> None:
+    def __init__(self, state: SeparatedState, pair: PairPotential, cfg: EvolutionConfig, coupled: bool) -> None:
         self.workers = fft_workers()
         self.state, self.pair = state, pair
         grid, hbar, mass = state.grid, pair.units.hbar, pair.species.mass
-        X, r = separated_axes(grid)
-        v_com = 2.0 * pot_ext.sample(X, pair.species)
-        v_rel = 0.25 * (pot_ext.sample(r, pair.species) + pot_ext.sample(-r, pair.species))
-        if coupled:
-            v_rel = v_rel + self.pair_samples()
-        self.half_com, self.half_rel = (
-            np.exp(-0.5j * cfg.dt / hbar * v) if np.any(v) else None for v in (v_com, v_rel)
-        )
+        v_rel = self.pair_samples() if coupled else 0.0
+        self.half_rel = np.exp(-0.5j * cfg.dt / hbar * v_rel) if np.any(v_rel) else None
         k_com = 2.0 * math.pi * sfft.fftfreq(2 * grid.n, d=0.5 * grid.dx)
         k_rel = 2.0 * math.pi * sfft.fftfreq(2 * grid.n, d=grid.dx)
         self.kin_com = np.exp(-0.5j * hbar * cfg.dt / (2.0 * mass) * k_com**2)
@@ -193,8 +175,6 @@ class _SeparatedEngine:
         return z
 
     def _half_phases(self, z: NDArray[np.complex128]) -> None:
-        if self.half_com is not None:
-            z[0] *= self.half_com
         if self.half_rel is not None:
             z[1:] *= self.half_rel
 
@@ -213,7 +193,7 @@ class _SeparatedEngine:
 
 
 def _engine_for(
-    state: MetaState | SeparatedState, pot_ext: ExternalPotential, pair: PairPotential, cfg: EvolutionConfig
+    state: MetaState | SeparatedState, pair: PairPotential, cfg: EvolutionConfig
 ) -> tuple[type[_GridEngine] | type[_SeparatedEngine], MetaState]:
     """The engine for the state's type and the start on the pair grid, once the shared checks pass.
 
@@ -230,17 +210,15 @@ def _engine_for(
 
 def evolve(
     state: MetaState | SeparatedState,
-    pot_ext: ExternalPotential,
     pair: PairPotential,
     cfg: EvolutionConfig,
     observer: Callable[[MetaState], Any] | None = None,
 ) -> EvolutionRecord:
     """Propagate the pair state for cfg.steps steps of cfg.dt.
 
-    The external potential acts identically on both coordinates; the
-    pair potential couples them through the separation.  Amplitudes are
-    checked for blow-up at every record point; non-finite values abort
-    the run with a step diagnostic.
+    The pair potential couples the two coordinates through their
+    separation.  Amplitudes are checked for blow-up at every record
+    point; non-finite values abort the run with a step diagnostic.
 
     A SeparatedState is stepped by the separated engine.  The observer
     and the final state see the gathered MetaState; mass outside the
@@ -248,8 +226,8 @@ def evolve(
     where something reads it: at every record point when there is an
     observer, else at the last step only.
     """
-    build, start = _engine_for(state, pot_ext, pair, cfg)
-    engine = build(state, pot_ext, pair, cfg, coupled=True)
+    build, start = _engine_for(state, pair, cfg)
+    engine = build(state, pair, cfg, coupled=True)
     psi = engine.channels(extra=0)
 
     times: list[float] = []
@@ -286,7 +264,6 @@ def evolve(
 
 def dyson_first_order(
     state0: MetaState | SeparatedState,
-    pot_ext: ExternalPotential,
     pair: PairPotential,
     cfg: EvolutionConfig,
 ) -> tuple[MetaState, MetaState]:
@@ -301,7 +278,7 @@ def dyson_first_order(
     evolve applies.  Both are stepped by the engine evolve picks for the
     state, with the coupling left out of its step.  The coupling enters
     evolve's step only through its two half-step potential phases
-    exp(-i (V_ext + V_pair) dt / 2 hbar), one at each end; the kinetic
+    exp(-i V_pair dt / 2 hbar), one at each end; the kinetic
     phase carries none.  So around each coupling-free step a half
     insertion -i V_pair dt / (2 hbar) psi0 is added to psi1 at both ends.
     psi1 is the last channel of the engine's stack and is fed from the
@@ -317,7 +294,7 @@ def dyson_first_order(
     the run time below PERTURBATIVE_WINDOW.  For a SeparatedState both
     channels are gathered at the end.
     """
-    build = _engine_for(state0, pot_ext, pair, cfg)[0]  # the gathered start is not kept
+    build = _engine_for(state0, pair, cfg)[0]  # the gathered start is not kept
     hbar = pair.units.hbar
     action = pair.action_over_hbar(cfg.dt * cfg.steps)
     if action >= PERTURBATIVE_WINDOW:
@@ -326,7 +303,7 @@ def dyson_first_order(
             f">= {PERTURBATIVE_WINDOW}"
         )
 
-    engine = build(state0, pot_ext, pair, cfg, coupled=False)
+    engine = build(state0, pair, cfg, coupled=False)
     half_insert = (-0.5j * cfg.dt / hbar) * engine.pair_samples()
     z = engine.channels(extra=1)
     for _ in range(cfg.steps):

@@ -24,7 +24,6 @@ from numpy.typing import NDArray
 from ._version import __version__
 from .config import ScenarioConfig
 from .core import (
-    ExternalPotential,
     Grid1D,
     MetaState,
     SeparatedState,
@@ -151,7 +150,7 @@ def _observed_run(cfg: ScenarioConfig, emit: _Emitter, state: SeparatedState, g:
     """Times and full observations of state evolved at coupling g; the time series goes to CSV name."""
     pair = PairPotential(species=cfg.species, units=UnitSystem.dimensionless(g))
     observer = _full_observer(cfg.values["report.d_cut"])
-    record = evolve(state, ExternalPotential.null(), pair, cfg.evolution, observer=observer)
+    record = evolve(state, pair, cfg=cfg.evolution, observer=observer)
     observed = record.reduced_observables
     assert observed is not None
     emit.emit(name, csv_bytes(TIMESERIES_COLUMNS, _timeseries_rows(record.times, observed)))
@@ -289,7 +288,7 @@ def _run_perturbative(cfg: ScenarioConfig, emit: _Emitter) -> dict:
     # psi1 is linear in it, so psi1(g0 / 2^j) = 2^-j psi1(g0), exact in
     # floating point.  Only the first-order densities outlive the pass.
     pair0 = PairPotential(species=cfg.species, units=cfg.units)
-    psi0, psi1 = dyson_first_order(state, ExternalPotential.null(), pair0, cfg.evolution)
+    psi0, psi1 = dyson_first_order(state, pair0, cfg=cfg.evolution)
     approx_densities = [
         first_order_position_density(psi0, replace(psi1, amplitudes=0.5**j * psi1.amplitudes))
         for j in range(len(couplings))
@@ -300,7 +299,7 @@ def _run_perturbative(cfg: ScenarioConfig, emit: _Emitter) -> dict:
     checks: list[dict[str, float]] = []
     for g, approx_density in zip(couplings, approx_densities):
         pair = PairPotential(species=cfg.species, units=UnitSystem.dimensionless(g))
-        record = evolve(state, ExternalPotential.null(), pair, cfg.evolution, observer=structural_checks)
+        record = evolve(state, pair, cfg=cfg.evolution, observer=structural_checks)
         assert record.reduced_observables is not None
         full_density = np.sum(np.abs(record.final_state.amplitudes) ** 2, axis=1) * grid.dx
         residuals.append(float(np.max(np.abs(full_density - approx_density))))

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from gravtwin import (
-    ExternalPotential,
     Grid1D,
     MetaState,
     ParticleSpecies,
@@ -148,24 +147,3 @@ def test_metastate_shape_validation():
     g = Grid1D(-10.0, 10.0, 64)
     with pytest.raises(ValidationError):
         MetaState(grid=g, amplitudes=np.zeros((32, 32), dtype=complex), time=0.0)
-
-
-def test_external_potential_kinds():
-    g = Grid1D(-4.0, 4.0, 64)
-    sp = ParticleSpecies(mass=2.0, radius=1.0)
-    null = ExternalPotential.null()
-    lin = ExternalPotential.uniform_field(slope=3.0)
-    harm = ExternalPotential.harmonic(omega=1.5)
-
-    assert np.all(null.sample(g.x, sp) == 0.0)
-    np.testing.assert_allclose(lin.sample(g.x, sp), 3.0 * g.x, rtol=1e-15)
-    np.testing.assert_allclose(harm.sample(g.x, sp), 0.5 * 2.0 * 1.5**2 * g.x**2, rtol=1e-15)
-    with pytest.raises(ValidationError):
-        ExternalPotential(kind="tabulated")
-
-    # V(x) + V(x~) = 2 V(X) + [V(r) + V(-r)] / 4, the split the separated engine steps
-    x, xt = np.meshgrid(g.x, g.x, indexing="ij")
-    for pot in (null, lin, harm):
-        lhs = pot.sample(x, sp) + pot.sample(xt, sp)
-        rhs = 2.0 * pot.sample(0.5 * (x + xt), sp) + 0.25 * (pot.sample(x - xt, sp) + pot.sample(xt - x, sp))
-        np.testing.assert_allclose(lhs, rhs, rtol=1e-14, atol=1e-13)

@@ -7,7 +7,6 @@ import scipy.fft as sfft
 from gravtwin import (
     CFLViolation,
     EvolutionConfig,
-    ExternalPotential,
     Grid1D,
     MetaState,
     NumericalAbort,
@@ -61,10 +60,10 @@ def test_cfl_guard():
     # dx = 0.125: stability needs dt < pi hbar / (4 E_kin_max) ~ 2.49e-3
     cfg = EvolutionConfig(dt=5e-3, steps=10)
     with pytest.raises(CFLViolation) as err:
-        evolve(st, ExternalPotential.null(), pair, cfg)
+        evolve(st, pair, cfg)
     assert "largest stable dt" in str(err.value)
     # just inside the bound is accepted
-    evolve(st, ExternalPotential.null(), pair, EvolutionConfig(dt=2.4e-3, steps=1))
+    evolve(st, pair, EvolutionConfig(dt=2.4e-3, steps=1))
 
 
 def test_requires_normalized_input():
@@ -72,13 +71,13 @@ def test_requires_normalized_input():
     st = gaussian_product_metastate(grid, 0.0, 0.6, 0.0)
     bad = MetaState(grid=grid, amplitudes=1.5 * st.amplitudes)
     with pytest.raises(ValidationError):
-        evolve(bad, ExternalPotential.null(), pair, EvolutionConfig(dt=1e-3, steps=1))
+        evolve(bad, pair, EvolutionConfig(dt=1e-3, steps=1))
 
 
 def test_free_norm_conservation():
     units, grid, pair = setup()
     st = gaussian_product_metastate(grid, 0.0, 0.6, 1.0)
-    rec = evolve(st, ExternalPotential.null(), pair,
+    rec = evolve(st, pair,
                  EvolutionConfig(dt=1e-3, steps=300, record_every=50),
                  observer=lambda s: s.norm())
     assert np.max(np.abs(np.array(rec.reduced_observables) - 1.0)) < 1e-12
@@ -92,7 +91,7 @@ def test_free_spreading_law():
     t_double = math.sqrt(3.0) * 2.0 * sigma0**2  # sigma doubles here
     steps = 500
     cfg = EvolutionConfig(dt=t_double / steps, steps=steps, record_every=50)
-    rec = evolve(st, ExternalPotential.null(), pair, cfg,
+    rec = evolve(st, pair, cfg,
                  observer=lambda s: {"var": moments(s)[1]})
     var = np.array([o["var"] for o in rec.reduced_observables])
     expected = sigma0**2 * (1.0 + (rec.times / (2.0 * sigma0**2)) ** 2)
@@ -100,27 +99,10 @@ def test_free_spreading_law():
     np.testing.assert_allclose(var[-1], 4.0 * sigma0**2, rtol=1e-4)
 
 
-def test_harmonic_center_oscillation():
-    """Ehrenfest check: <x>(t) = x0 cos(t) for a displaced packet, omega = 1, on either engine."""
-    units, grid, pair = setup(n=128, half_span=10.0)
-    width = 1.0 / math.sqrt(2.0)
-    period = 2.0 * math.pi
-    steps = 2000
-    cfg = EvolutionConfig(dt=period / steps, steps=steps, record_every=100)
-    for st in (gaussian_product_metastate(grid, 1.0, width, 0.0),
-               separated_product_state(grid, (1.0,), width, 0.0)):
-        rec = evolve(st, ExternalPotential.harmonic(omega=1.0), pair, cfg,
-                     observer=lambda s: {"mean": moments(s)[0]})
-        mean = np.array([o["mean"] for o in rec.reduced_observables])
-        np.testing.assert_allclose(mean, np.cos(rec.times), atol=1e-4)
-        np.testing.assert_allclose(mean[-1], 1.0, atol=1e-4)
-
-
 def test_exchange_symmetry_preserved():
     units, grid, pair = setup(g=1.0)
     st = gaussian_product_metastate(grid, 0.5, 0.7, 0.8)
-    rec = evolve(st, ExternalPotential.harmonic(omega=0.5), pair,
-                 EvolutionConfig(dt=1e-3, steps=400))
+    rec = evolve(st, pair, EvolutionConfig(dt=1e-3, steps=400))
     assert rec.final_state.exchange_asymmetry() < 1e-10
 
 
@@ -128,9 +110,9 @@ def test_time_reversal_fidelity():
     units, grid, pair = setup(g=1.0)
     st = gaussian_product_metastate(grid, 0.0, 0.7, 1.0)
     cfg = EvolutionConfig(dt=1e-3, steps=300)
-    fwd = evolve(st, ExternalPotential.null(), pair, cfg).final_state
+    fwd = evolve(st, pair, cfg).final_state
     back_in = MetaState(grid=grid, amplitudes=np.conj(fwd.amplitudes))
-    back = evolve(back_in, ExternalPotential.null(), pair, cfg).final_state
+    back = evolve(back_in, pair, cfg).final_state
     overlap = np.vdot(st.amplitudes, np.conj(back.amplitudes)) * grid.dx**2
     assert abs(overlap) > 1.0 - 1e-8
 
@@ -142,13 +124,12 @@ def test_splitting_order_is_two():
     so p = log2(e1/e2 - 1).  Strang should land in [1.8, 2.2] on either engine.
     """
     units, grid, pair = setup(g=0.8)
-    pot = ExternalPotential.harmonic(omega=1.0)
     for st in (gaussian_product_metastate(grid, 0.5, 0.7, 0.0),
                separated_product_state(grid, (0.5,), 0.7, 0.0)):
         finals = {}
         for div in (1, 2, 4):
             cfg = EvolutionConfig(dt=1e-3 / div, steps=100 * div)
-            finals[div] = evolve(st, pot, pair, cfg).final_state.amplitudes
+            finals[div] = evolve(st, pair, cfg).final_state.amplitudes
         e1 = np.linalg.norm(finals[1] - finals[4])
         e2 = np.linalg.norm(finals[2] - finals[4])
         p = math.log2(e1 / e2 - 1.0)
@@ -164,14 +145,14 @@ def test_record_points(monkeypatch):
     cfg = EvolutionConfig(dt=1e-3, steps=95, record_every=30)
     for st in (gaussian_product_metastate(grid, 0.0, 0.6, 0.0), separated_product_state(grid, (0.0,), 0.6, 0.0)):
         gathers.clear()
-        rec = evolve(st, ExternalPotential.null(), pair, cfg)
+        rec = evolve(st, pair, cfg)
         np.testing.assert_allclose(rec.times, np.array([0, 30, 60, 90, 95]) * 1e-3, rtol=1e-12)
         assert rec.final_state.time == rec.times[-1]
         assert rec.reduced_observables is None
         # with no observer only the final state is gathered
         assert gathers == [rec.times[-1]]
         gathers.clear()
-        seen = evolve(st, ExternalPotential.null(), pair, cfg, observer=lambda s: s.time).reduced_observables
+        seen = evolve(st, pair, cfg, observer=lambda s: s.time).reduced_observables
         assert seen == list(rec.times)
         assert gathers == list(rec.times[1:])  # the start needs no gather
 
@@ -183,14 +164,14 @@ def test_nan_abort_with_diagnostic():
     amps.setflags(write=True)
     amps[0, 0] = np.nan  # simulate an upstream blow-up
     with pytest.raises(NumericalAbort) as err:
-        evolve(st, ExternalPotential.null(), pair, EvolutionConfig(dt=1e-3, steps=5))
+        evolve(st, pair, EvolutionConfig(dt=1e-3, steps=5))
     assert "step" in str(err.value)
 
 
 def test_dyson_zero_coupling_kills_correction():
     units, grid, pair = setup(g=0.0)
     st = gaussian_product_metastate(grid, 0.0, 0.7, 0.0)
-    psi0, psi1 = dyson_first_order(st, ExternalPotential.null(), pair,
+    psi0, psi1 = dyson_first_order(st, pair,
                                    EvolutionConfig(dt=1e-3, steps=50))
     assert np.all(psi1.amplitudes == 0.0)
     np.testing.assert_allclose(psi0.norm(), 1.0, atol=1e-12)
@@ -201,14 +182,14 @@ def test_dyson_zeroth_channel_matches_free_run():
     units, grid, pair = setup(g=0.5)
     _, _, free_pair = setup(g=0.0)
     cfg = EvolutionConfig(dt=1e-3, steps=100)
+    center, momentum = STARTS["off-centre-moving"]
     starts = (
-        (gaussian_product_metastate(grid, 0.0, 0.7, 0.5), ExternalPotential.harmonic(omega=1.0)),
-        (separated_product_state(grid, (-1.5, 1.5), 0.7, 0.5), ExternalPotential.null()),
-        (separated_product_state(grid, (-1.5, 1.5), 0.7, 0.5), ExternalPotential.harmonic(omega=1.0)),
+        gaussian_product_metastate(grid, center, 0.7, momentum),
+        separated_product_state(grid, (-1.5, 1.5), 0.7, 0.5),
     )
-    for st, pot in starts:
-        psi0, _ = dyson_first_order(st, pot, pair, cfg)
-        ref = evolve(st, pot, free_pair, cfg).final_state
+    for st in starts:
+        psi0, _ = dyson_first_order(st, pair, cfg)
+        ref = evolve(st, free_pair, cfg).final_state
         assert np.max(np.abs(psi0.amplitudes - ref.amplitudes)) < 1e-12
 
 
@@ -221,9 +202,8 @@ def test_dyson_residual_quarter_scaling():
         if st is None:
             st = gaussian_product_metastate(grid, 0.0, 0.7, 0.0)
         cfg = EvolutionConfig(dt=5e-4, steps=200)
-        pot = ExternalPotential.harmonic(omega=1.0)
-        psi0, psi1 = dyson_first_order(st, pot, pair, cfg)
-        full = evolve(st, pot, pair, cfg).final_state
+        psi0, psi1 = dyson_first_order(st, pair, cfg)
+        full = evolve(st, pair, cfg).final_state
         residuals[g] = np.linalg.norm(
             full.amplitudes - psi0.amplitudes - psi1.amplitudes
         )
@@ -231,7 +211,7 @@ def test_dyson_residual_quarter_scaling():
     assert 3.5 < ratio < 4.5
 
 
-def dyson_midpoint_reference(state0, pot_ext, pair, cfg):
+def dyson_midpoint_reference(state0, pair, cfg):
     """Dyson channels with the insertion at each step's kinetic midpoint.
 
     The first-order engine's former loop, four transform pairs per step;
@@ -239,11 +219,9 @@ def dyson_midpoint_reference(state0, pot_ext, pair, cfg):
     """
     grid = state0.grid
     hbar = pair.units.hbar
-    v_ext = pot_ext.sample(grid.x, pair.species)
     v_pair = pair.evaluate_on_grid(grid)
     k2 = grid.momentum_grid**2
     k_diag = k2[:, None] + k2[None, :]
-    d0 = np.exp(-0.5j * cfg.dt / hbar * (v_ext[:, None] + v_ext[None, :]))
     half_k = np.exp(-0.25j * hbar * cfg.dt / pair.species.mass * k_diag)
 
     def half_kin(z):
@@ -252,39 +230,36 @@ def dyson_midpoint_reference(state0, pot_ext, pair, cfg):
     phi = np.array(state0.amplitudes)
     chi = np.zeros_like(phi)
     for _ in range(cfg.steps):
-        phi_mid = half_kin(d0 * phi)
-        chi_mid = half_kin(d0 * chi)
+        phi_mid = half_kin(phi)
+        chi_mid = half_kin(chi)
         chi_mid += (-1j * cfg.dt / hbar) * v_pair * phi_mid
-        phi = d0 * half_kin(phi_mid)
-        chi = d0 * half_kin(chi_mid)
+        phi = half_kin(phi_mid)
+        chi = half_kin(chi_mid)
     return phi, chi
 
 
-EXTERNALS = {
-    "none": (ExternalPotential.null(), 0.0, 0.0),
-    "harmonic": (ExternalPotential.harmonic(omega=1.0), 0.3, 0.5),
-    "uniform-field": (ExternalPotential.uniform_field(slope=0.5), -0.5, 1.0),
+# (centre, momentum) of the 2D-engine starts for the Dyson tests, by test id.
+STARTS = {
+    "centred-at-rest": (0.0, 0.0),
+    "off-centre-moving": (0.3, 0.5),
 }
 
 
-@pytest.mark.parametrize(
-    "kind", sorted(EXTERNALS) + ["separated", "separated-harmonic", "separated-uniform-field"]
-)
+@pytest.mark.parametrize("kind", sorted(STARTS) + ["separated"])
 def test_dyson_is_derivative_of_strang_step(kind):
     """psi1 against a Richardson forward difference in g of evolve, on either engine."""
     g = 0.5
     units, grid, pair = setup(g=g)
-    if kind.startswith("separated"):
-        pot = EXTERNALS[kind.partition("-")[2] or "none"][0]
+    if kind == "separated":
         st = separated_product_state(grid, (-1.5, 1.5), 0.7, 0.5)
     else:
-        pot, center, momentum = EXTERNALS[kind]
+        center, momentum = STARTS[kind]
         st = gaussian_product_metastate(grid, center, 0.7, momentum)
     cfg = EvolutionConfig(dt=1e-3, steps=100)
-    _, psi1 = dyson_first_order(st, pot, pair, cfg)
+    _, psi1 = dyson_first_order(st, pair, cfg)
 
     def full(gg):
-        return evolve(st, pot, setup(g=gg)[2], cfg).final_state.amplitudes
+        return evolve(st, setup(g=gg)[2], cfg).final_state.amplitudes
 
     eps = 1e-3 * g
     u0, u1, u2 = full(0.0), full(eps), full(2.0 * eps)
@@ -293,14 +268,14 @@ def test_dyson_is_derivative_of_strang_step(kind):
     assert rel < 2e-8
 
 
-@pytest.mark.parametrize("kind", ["none", "harmonic"])
+@pytest.mark.parametrize("kind", sorted(STARTS))
 def test_dyson_agrees_with_midpoint_reference(kind):
-    pot, center, momentum = EXTERNALS[kind]
+    center, momentum = STARTS[kind]
     units, grid, pair = setup(g=0.5)
     st = gaussian_product_metastate(grid, center, 0.7, momentum)
     cfg = EvolutionConfig(dt=5e-4, steps=200)
-    psi0, psi1 = dyson_first_order(st, pot, pair, cfg)
-    ref0, ref1 = dyson_midpoint_reference(st, pot, pair, cfg)
+    psi0, psi1 = dyson_first_order(st, pair, cfg)
+    ref0, ref1 = dyson_midpoint_reference(st, pair, cfg)
     assert np.max(np.abs(psi0.amplitudes - ref0)) < 1e-12
     assert np.max(np.abs(psi1.amplitudes - ref1)) / np.max(np.abs(ref1)) < 1e-6
 
@@ -313,8 +288,7 @@ def test_dyson_power_of_two_rescale_exact():
         units, grid, pair = setup(g=g)
         if st is None:
             st = gaussian_product_metastate(grid, 0.3, 0.7, 0.5)
-        channels[g] = dyson_first_order(st, ExternalPotential.harmonic(omega=1.0), pair,
-                                        EvolutionConfig(dt=1e-3, steps=60))
+        channels[g] = dyson_first_order(st, pair, EvolutionConfig(dt=1e-3, steps=60))
     assert np.array_equal(channels[0.25][0].amplitudes, channels[0.5][0].amplitudes)
     assert np.array_equal(channels[0.25][1].amplitudes, 0.5 * channels[0.5][1].amplitudes)
 
@@ -322,7 +296,7 @@ def test_dyson_power_of_two_rescale_exact():
 def test_dyson_density_mass_conserved():
     units, grid, pair = setup(g=0.5)
     st = gaussian_product_metastate(grid, 0.0, 0.7, 0.0)
-    psi0, psi1 = dyson_first_order(st, ExternalPotential.null(), pair,
+    psi0, psi1 = dyson_first_order(st, pair,
                                    EvolutionConfig(dt=1e-3, steps=80))
     pr = first_order_position_density(psi0, psi1)
     np.testing.assert_allclose(np.sum(pr) * grid.dx, 1.0, atol=1e-8)
@@ -332,7 +306,7 @@ def test_first_order_density_compares_grids_by_value():
     units, grid, pair = setup(g=0.5)
     twin_grid = Grid1D(grid.x_min, grid.x_max, grid.n)
     psi0, psi1 = dyson_first_order(gaussian_product_metastate(grid, 0.0, 0.7, 0.0),
-                                   ExternalPotential.null(), pair, EvolutionConfig(dt=1e-3, steps=20))
+                                   pair, EvolutionConfig(dt=1e-3, steps=20))
     twin = MetaState(grid=twin_grid, amplitudes=psi1.amplitudes, time=psi1.time)
     np.testing.assert_array_equal(first_order_position_density(psi0, twin),
                                   first_order_position_density(psi0, psi1))
@@ -345,7 +319,7 @@ def test_dyson_precondition_guard():
     units, grid, pair = setup(g=20.0)
     st = gaussian_product_metastate(grid, 0.0, 0.7, 0.0)
     with pytest.raises(ValidationError):
-        dyson_first_order(st, ExternalPotential.null(), pair,
+        dyson_first_order(st, pair,
                           EvolutionConfig(dt=2e-3, steps=500))
 
 
@@ -356,14 +330,6 @@ SEPARATED_CASES = {
     "two-packets-moving": ((-2.0, 2.0), 0.5),
     "one-packet": ((0.0,), 1.0),
 }
-
-# (start, external kind) pairs for the engine agreement test, by test id.
-AGREEMENT_CASES = {
-    **{case: (case, "none") for case in SEPARATED_CASES},
-    "harmonic-two-packets-moving": ("two-packets-moving", "harmonic"),
-    "uniform-field-two-packets-at-rest": ("two-packets-at-rest", "uniform-field"),
-}
-
 
 def product_oracle(grid, centers, width, momentum):
     psi = sum(gaussian_wavepacket(grid, c, width, momentum) for c in centers)
@@ -382,21 +348,19 @@ def test_separated_builder_gathers_to_product_state(case):
     assert sep.com.shape == sep.rel.shape == (len(centers) * (len(centers) + 1) // 2, 512)
 
 
-@pytest.mark.parametrize("case", sorted(AGREEMENT_CASES))
+@pytest.mark.parametrize("case", sorted(SEPARATED_CASES))
 def test_separated_engine_agrees_with_2d_engine(case):
     """The 2D engine is the oracle; they differ only at the band edge and the seam."""
-    start, kind = AGREEMENT_CASES[case]
-    centers, momentum = SEPARATED_CASES[start]
-    pot = EXTERNALS[kind][0]
+    centers, momentum = SEPARATED_CASES[case]
     units, grid, pair = setup(g=1.0 / 3.0, n=256, half_span=16.0)
     sep = separated_product_state(grid, centers, 0.7, momentum)
     ref = product_oracle(grid, centers, 0.7, momentum)
     cfg = EvolutionConfig(dt=5e-4, steps=200, record_every=200)
-    full = evolve(sep, pot, pair, cfg).final_state
-    full_ref = evolve(ref, pot, pair, cfg).final_state
+    full = evolve(sep, pair, cfg).final_state
+    full_ref = evolve(ref, pair, cfg).final_state
     assert np.max(np.abs(full.amplitudes - full_ref.amplitudes)) <= 5e-9
-    psi0, psi1 = dyson_first_order(sep, pot, pair, cfg)
-    ref0, ref1 = dyson_first_order(ref, pot, pair, cfg)
+    psi0, psi1 = dyson_first_order(sep, pair, cfg)
+    ref0, ref1 = dyson_first_order(ref, pair, cfg)
     assert np.max(np.abs(psi0.amplitudes - ref0.amplitudes)) <= 1e-12
     assert np.max(np.abs(psi1.amplitudes - ref1.amplitudes)) <= 5e-9
     assert full.time == full_ref.time == psi1.time
@@ -409,7 +373,7 @@ def test_separated_free_pair_matches_closed_form():
     t_end = math.sqrt(3.0) * 2.0 * width**2  # width doubling time, ~0.87
     steps = 250
     sep = separated_product_state(grid, (0.0,), width, momentum)
-    rec = evolve(sep, ExternalPotential.null(), pair,
+    rec = evolve(sep, pair,
                  EvolutionConfig(dt=t_end / steps, steps=steps, record_every=steps))
     x = grid.x
     alpha = 1.0 + 1j * rec.final_state.time / (2.0 * width**2)

@@ -34,20 +34,31 @@ def test_version_is_read_from_the_package():
     }
 
 
-def test_benchmark_tracer_finds_every_target(monkeypatch):
-    # perfbench/child.py wraps package functions by attribute name; a rename
+def test_benchmark_tracer_finds_every_target(monkeypatch, tmp_path):
+    # perfbench/child.py wraps package functions by attribute name and reads
+    # their step counts from the `cfg` argument; a rename or a changed call
     # would otherwise surface only as a failed `perfbench/run.py --trace 1`.
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-    monkeypatch.delitem(sys.modules, "child", raising=False)
+    for name in ("child", "inputs"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
     import child
+    import inputs
 
+    values = inputs.make_inputs("crosscheck", 0)
+    config = tmp_path / "config.cfg"
+    config.write_text(inputs.config_text(values))
     main = gravtwin.cli.main
     tracer = child.make_tracer(gravtwin)
     try:
         tracer.install()
+        assert gravtwin.cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
     finally:
         tracer.restore()
     assert gravtwin.cli.main is main
+    steps = values["evolution.steps"]
+    work = tracer.totals().work
+    assert work["evolve"] == (values["dyson.halvings"] + 1) * steps
+    assert work["dyson"] == steps
 
 
 # Imports their own module never reads.  perfbench/child.py wraps the first

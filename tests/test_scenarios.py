@@ -13,7 +13,6 @@ import gravtwin.cli as cli
 import gravtwin.scenarios as scenarios
 from gravtwin import (
     ConfigError,
-    ExternalPotential,
     Grid1D,
     InterferometerConfig,
     NumericalAbort,
@@ -639,7 +638,7 @@ def test_one_perturbative_window(tmp_path):
     edge = parse_config(text + f"coupling.g = {g_edge!r}\n")
     state = separated_product_state(edge.grid, (-2.0, 2.0), 0.7, 0.0)
     with pytest.raises(ValidationError, match="first-order"):
-        dyson_first_order(state, ExternalPotential.null(), pair(g_edge), edge.evolution)
+        dyson_first_order(state, pair(g_edge), edge.evolution)
 
     def two_arm(g):
         # T = 2 L / v is exactly the run time above.
