@@ -99,6 +99,26 @@ def test_free_spreading_law():
     np.testing.assert_allclose(var[-1], 4.0 * sigma0**2, rtol=1e-4)
 
 
+@pytest.mark.parametrize("engine", ["2d", "separated"])
+def test_pair_coupling_leaves_centre_of_mass_free(engine):
+    """The pair force is internal: <x>(t) = x0 + p t / m under coupling, on either engine."""
+    center, momentum = 0.3, 0.5
+    cfg = EvolutionConfig(dt=1e-3, steps=1000, record_every=100)
+    variances = {}
+    for g in (0.0, 1.0):
+        units, grid, pair = setup(g=g, n=256, half_span=16.0)
+        if engine == "2d":
+            st = gaussian_product_metastate(grid, center, 0.7, momentum)
+        else:
+            st = separated_product_state(grid, (center - 1.5, center + 1.5), 0.7, momentum)
+        rec = evolve(st, pair, cfg, observer=moments)
+        mean = np.array([o[0] for o in rec.reduced_observables])
+        np.testing.assert_allclose(mean, center + momentum * rec.times / UNIT.mass, rtol=0.0, atol=1e-11)
+        variances[g] = rec.reduced_observables[-1][1]
+    # the coupling does act on the relative motion
+    assert variances[0.0] - variances[1.0] > 0.05
+
+
 def test_exchange_symmetry_preserved():
     units, grid, pair = setup(g=1.0)
     st = gaussian_product_metastate(grid, 0.5, 0.7, 0.8)
@@ -242,16 +262,25 @@ def dyson_midpoint_reference(state0, pair, cfg):
 STARTS = {
     "centred-at-rest": (0.0, 0.0),
     "off-centre-moving": (0.3, 0.5),
+    "left-of-centre-fast": (-0.5, 1.0),
+}
+
+# (centres, momentum) of the separated-engine starts for the Dyson tests, by test id.
+SEPARATED_STARTS = {
+    "separated": ((-1.5, 1.5), 0.5),
+    "separated-at-rest": ((-1.5, 1.5), 0.0),
+    "separated-one-packet": ((0.0,), 1.0),
 }
 
 
-@pytest.mark.parametrize("kind", sorted(STARTS) + ["separated"])
+@pytest.mark.parametrize("kind", sorted(STARTS) + sorted(SEPARATED_STARTS))
 def test_dyson_is_derivative_of_strang_step(kind):
     """psi1 against a Richardson forward difference in g of evolve, on either engine."""
     g = 0.5
     units, grid, pair = setup(g=g)
-    if kind == "separated":
-        st = separated_product_state(grid, (-1.5, 1.5), 0.7, 0.5)
+    if kind in SEPARATED_STARTS:
+        centers, momentum = SEPARATED_STARTS[kind]
+        st = separated_product_state(grid, centers, 0.7, momentum)
     else:
         center, momentum = STARTS[kind]
         st = gaussian_product_metastate(grid, center, 0.7, momentum)
@@ -331,6 +360,14 @@ SEPARATED_CASES = {
     "one-packet": ((0.0,), 1.0),
 }
 
+# Starts for the engine agreement test, by test id: the builder's cases, three
+# packets (six pair terms, unequal separations) and two overlapping packets.
+AGREEMENT_CASES = {
+    **SEPARATED_CASES,
+    "three-packets-moving": ((-3.0, 0.0, 3.0), 0.5),
+    "two-packets-overlapping": ((-0.5, 0.5), 0.0),
+}
+
 def product_oracle(grid, centers, width, momentum):
     psi = sum(gaussian_wavepacket(grid, c, width, momentum) for c in centers)
     return product_metastate(grid, psi)
@@ -348,10 +385,10 @@ def test_separated_builder_gathers_to_product_state(case):
     assert sep.com.shape == sep.rel.shape == (len(centers) * (len(centers) + 1) // 2, 512)
 
 
-@pytest.mark.parametrize("case", sorted(SEPARATED_CASES))
+@pytest.mark.parametrize("case", sorted(AGREEMENT_CASES))
 def test_separated_engine_agrees_with_2d_engine(case):
     """The 2D engine is the oracle; they differ only at the band edge and the seam."""
-    centers, momentum = SEPARATED_CASES[case]
+    centers, momentum = AGREEMENT_CASES[case]
     units, grid, pair = setup(g=1.0 / 3.0, n=256, half_span=16.0)
     sep = separated_product_state(grid, centers, 0.7, momentum)
     ref = product_oracle(grid, centers, 0.7, momentum)
