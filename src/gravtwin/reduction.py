@@ -7,13 +7,11 @@ All decoherence quantifiers (purity, entropies, off-diagonal mass) are
 computed from the weighted matrix rho dx, whose eigenvalues are the
 discrete probability weights.
 
-Purity, coherence, the diagonal, hermiticity and trace are read from rho.
-The weights are not: rho dx = (A dx)(A dx)^H for the pair amplitude A,
-so they are the squared singular values of A dx, and the leading ones
-come from a randomized range finder on that factor (Halko, Martinsson &
-Tropp, SIAM Rev. 53, 217, 2011) in O(n^2 r) work for r of them.  The
-smallest eigenvalue is bounded from below by one Cholesky factorization
-of rho dx + eps I, with no spectrum at all.
+Every quantifier is read from rho alone.  The leading weights come from
+a randomized range finder on rho (Halko, Martinsson & Tropp, SIAM Rev.
+53, 217, 2011) with one power step and Rayleigh-Ritz, in O(n^2 r) work
+for r of them.  The smallest eigenvalue is bounded from below by one
+Cholesky factorization of rho dx + eps I, with no spectrum at all.
 """
 from __future__ import annotations
 
@@ -41,16 +39,13 @@ _UNIT_ROUNDOFF = 2.0**-53
 class ReducedDensityMatrix:
     """rho on the grid, validated and read only.
 
-    factor is the pair amplitude A with rho = A A^H dx, kept as a read-only
-    reference, not a copy; without it the weights are unavailable.  A
-    caller that hands over a freshly built rho and keeps no other reference
+    A caller that hands over a freshly built rho and keeps no other reference
     to it passes adopt=True to skip the defensive copy.  The snapshot's
     time stays with the state rho was traced from.
     """
 
     grid: Grid1D
     rho: NDArray[np.complex128] = field(repr=False)
-    factor: NDArray[np.complex128] | None = field(default=None, repr=False, compare=False)
     hermiticity: float = field(init=False)  # max |rho - rho^H|, measured once when validated
     adopt: InitVar[bool] = False
 
@@ -74,14 +69,6 @@ class ReducedDensityMatrix:
             raise ValidationError(f"rho trace {tr!r} deviates from 1 beyond {UNIT_NORM_TOL}")
         r.setflags(write=False)
         object.__setattr__(self, "rho", r)
-        if self.factor is not None:
-            if self.factor.shape != r.shape:
-                raise ValidationError(
-                    f"factor shape {self.factor.shape} does not match grid n={self.grid.n}"
-                )
-            view = self.factor.view()
-            view.setflags(write=False)
-            object.__setattr__(self, "factor", view)
 
     def trace(self) -> float:
         return float(np.trace(self.rho).real) * self.grid.dx
@@ -90,24 +77,20 @@ class ReducedDensityMatrix:
     def weights(self) -> NDArray[np.float64]:
         """The leading eigenvalues of rho dx, ascending: the discrete probability weights.
 
-        They are the squared singular values of A dx, from a range finder
-        on the factor A.  A fixed-seed complex Gaussian test matrix Omega
-        of r columns, drawn from default_rng([n, r]), spans Y = A Omega;
-        one power iteration and a QR give the basis Q, and the weights are
-        the squared singular values of the r x n matrix Q^H A dx.  r starts
-        at 32 and doubles, up to n, until the deficit ||A dx||_F^2 - sum(w)
-        = tr(rho dx) - sum(w), which bounds the whole discarded tail, is
-        below 1e-12.  Each returned weight is then within that deficit of
-        its eigenvalue, and every eigenvalue left out lies below it.
+        A fixed-seed complex Gaussian test matrix Omega of r columns,
+        drawn from default_rng([n, r]), gives the basis Q = qr(rho Omega),
+        refined by one power step Q = qr(rho Q); the weights are the Ritz
+        values, the eigenvalues of the r x r matrix Q^H rho Q dx.  r starts
+        at 32 and doubles, up to n, until the deficit tr(rho dx) - sum(w)
+        is below 1e-12.  Ritz values interlace with the eigenvalues, so
+        each returned weight is then within that deficit of its
+        eigenvalue, and every eigenvalue left out lies below it.
 
         Computed once per reduced state and shared by every quantifier.
         A failing solver raises LinAlgError on each access; nothing is
-        cached then.  A ReducedDensityMatrix without a factor raises
-        ValidationError.
+        cached then.
         """
-        if self.factor is None:
-            raise ValidationError("weights need the factor of rho; build rho with partial_trace")
-        w = _leading_weights(self.factor, self.grid.dx)
+        w = _leading_weights(self.rho, self.grid.dx)
         w.setflags(write=False)
         return w
 
@@ -125,19 +108,17 @@ def _test_matrix(n: int, r: int) -> NDArray[np.complex128]:
     return omega
 
 
-def _leading_weights(a: NDArray[np.complex128], dx: float) -> NDArray[np.float64]:
-    """Ascending squared singular values of A dx whose sum misses ||A dx||_F^2 by less than _EIG_FLOOR."""
-    n = a.shape[0]
-    total = float(np.vdot(a, a).real) * dx * dx
+def _leading_weights(rho: NDArray[np.complex128], dx: float) -> NDArray[np.float64]:
+    """Ascending Ritz values of rho dx whose sum misses tr(rho dx) by less than _EIG_FLOOR."""
+    n = rho.shape[0]
+    total = float(np.trace(rho).real) * dx
     r = min(_FIRST_RANK, n)
     while True:
-        q = np.linalg.qr(a @ _test_matrix(n, r))[0]
-        q = np.linalg.qr((q.conj().T @ a).conj().T)[0]  # A^H Q, without conjugating A
-        q = np.linalg.qr(a @ q)[0]
-        s = np.linalg.svd((q.conj().T @ a) * dx, compute_uv=False)
-        w = s * s
+        q = np.linalg.qr(rho @ _test_matrix(n, r))[0]
+        q = np.linalg.qr(rho @ q)[0]
+        w = np.linalg.eigvalsh((q.conj().T @ (rho @ q)) * dx)
         if total - float(np.sum(w)) < _EIG_FLOOR or r == n:
-            return w[::-1]
+            return w
         r = min(2 * r, n)
 
 
@@ -145,8 +126,7 @@ def partial_trace(state: MetaState) -> ReducedDensityMatrix:
     """Contract the hidden coordinate: rho(x, x') = sum over x~ of Psi Psi* dx.
 
     The input must be normalized (check_unit_norm); a drifted state is
-    rejected, never renormalized.  The result keeps the state's
-    amplitudes, read only and not copied, as the factor of rho.
+    rejected, never renormalized.
 
     rho = A A^H dx comes from two real products and is Hermitian by
     construction.  With F the n x 2n real view of A (real and imaginary
@@ -169,7 +149,7 @@ def partial_trace(state: MetaState) -> ReducedDensityMatrix:
     imag = rho.imag
     np.subtract(d, d.T, out=imag)
     imag *= dx
-    return ReducedDensityMatrix(grid=state.grid, rho=rho, factor=a, adopt=True)
+    return ReducedDensityMatrix(grid=state.grid, rho=rho, adopt=True)
 
 
 def position_probability(rho: ReducedDensityMatrix) -> NDArray[np.float64]:

@@ -187,7 +187,7 @@ def test_failed_eigensolve_abandons_only_the_spectrum(monkeypatch):
     def fail(a, *args, **kwargs):
         raise np.linalg.LinAlgError("synthetic non-convergence")
 
-    monkeypatch.setattr(np.linalg, "svd", fail)
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
     rep = decoherence_report(rho, d_cut=3.2)
     checks = structural_checks(st, rho)
     assert math.isnan(rep.von_neumann_entropy)
@@ -201,15 +201,16 @@ def test_failed_eigensolve_abandons_only_the_spectrum(monkeypatch):
     np.testing.assert_allclose(rho.weights.sum(), 1.0, atol=1e-10)
 
 
-# --- the factor path against the dense spectrum -------------------------------
+# --- the Ritz weights against the dense spectrum ------------------------------
 
 
 def _evolved_state(n, kind):
-    """A free packet, the decoherence pair (g = 0.5) or the crosscheck pair (g = 1/3) at n."""
+    """A free packet, the decoherence pair (g = 0.5) after 2000 or 20 steps, or the crosscheck pair (g = 1/3) at n."""
     grid = Grid1D(-16.0, 16.0, n)
     centers, g, steps = {
         "free": ((0.0,), 0.0, 400),
         "two-packet": ((-4.0, 4.0), 0.5, 2000),
+        "early": ((-3.5, 3.5), 0.5, 20),
         "crosscheck": ((-2.0, 2.0), 1.0 / 3.0, 500),
     }[kind]
     pair = PairPotential(ParticleSpecies(mass=1.0, radius=1.0), UnitSystem.dimensionless(g))
@@ -218,7 +219,7 @@ def _evolved_state(n, kind):
     return evolve(state, pair, cfg).final_state
 
 
-ORACLE_CASES = [(n, kind) for n in (128, 512) for kind in ("free", "two-packet", "crosscheck")]
+ORACLE_CASES = [(n, kind) for n in (128, 512) for kind in ("free", "two-packet", "early", "crosscheck")]
 
 
 @pytest.fixture(scope="module")
@@ -244,7 +245,7 @@ def assert_matches_dense(rho):
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES, ids=[f"{kind}-n{n}" for n, kind in ORACLE_CASES])
-def test_factor_weights_match_dense_spectrum(oracle_states, case):
+def test_weights_match_dense_spectrum(oracle_states, case):
     state = oracle_states[case]
     rho = partial_trace(state)
     dense = assert_matches_dense(rho)
@@ -314,12 +315,15 @@ def test_spread_state_reaches_full_rank(monkeypatch):
     rng = np.random.default_rng(7)
     amps = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     st = MetaState(grid=g, amplitudes=amps / (np.linalg.norm(amps) * g.dx))
+    rho = partial_trace(st)
     shapes = []
-    real_svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: shapes.append(a.shape) or real_svd(a, **kw))
-    dense = assert_matches_dense(partial_trace(st))
+    real_eigvalsh = np.linalg.eigvalsh
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "eigvalsh", lambda a, **kw: shapes.append(a.shape) or real_eigvalsh(a, **kw))
+        rho.weights
+    assert shapes == [(r, r) for r in (32, 64, 128, 256, 512)]
+    dense = assert_matches_dense(rho)
     assert np.sum(dense > 1e-12) > 256
-    assert shapes == [(r, n) for r in (32, 64, 128, 256, 512)]
 
 
 def test_planted_negative_eigenvalue_reports_dense_value(monkeypatch):
@@ -344,17 +348,25 @@ def test_planted_negative_eigenvalue_reports_dense_value(monkeypatch):
     assert math.isnan(structural_checks(st, rho)["min_eigenvalue"])
 
 
-def test_weights_need_a_factor():
-    g = grid_default(n=64)
-    rho = ReducedDensityMatrix(grid=g, rho=np.eye(64) / (64 * g.dx))
-    with pytest.raises(ValidationError):
-        rho.weights
-    assert structural_checks(gaussian_product_metastate(g, 0.0, 1.2, 0.0), rho)["min_eigenvalue"] > -1e-10
-
-
-def test_partial_trace_keeps_the_amplitudes_as_factor():
-    g = grid_default(n=64)
+def test_hand_built_rho_has_weights_and_a_full_report():
+    n = 64
+    g = grid_default(n=n)
+    rng = np.random.default_rng(11)
+    q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    w = np.zeros(n)
+    w[:20] = np.exp(-np.arange(20) / 3.0)
+    w /= w.sum()
+    m = (q * w) @ q.conj().T
+    m = 0.5 * (m + m.conj().T)
+    rho = ReducedDensityMatrix(grid=g, rho=m / g.dx)
+    fast = np.zeros(n)
+    fast[: rho.weights.size] = rho.weights[::-1]
+    assert np.max(np.abs(fast - w)) <= 1e-12  # w is descending
+    vn = decoherence_report(rho, d_cut=2.8).von_neumann_entropy
+    p = w[w > 0]
+    assert abs(vn - float(-np.sum(p * np.log(p)))) <= 1e-10
     st = gaussian_product_metastate(g, 0.0, 1.2, 0.0)
-    rho = partial_trace(st)
-    assert np.shares_memory(rho.factor, st.amplitudes)
-    assert not rho.factor.flags.writeable and not rho.rho.flags.writeable
+    assert structural_checks(st, rho)["min_eigenvalue"] > -1e-10
+    # rho is the only input: a traced rho and its copy give the same weights
+    traced = partial_trace(correlated_two_packet(g, sep=8.0, width=1.2))
+    assert np.array_equal(traced.weights, ReducedDensityMatrix(grid=g, rho=traced.rho).weights)

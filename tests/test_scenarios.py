@@ -215,21 +215,24 @@ def test_full_observer_solves_one_spectrum_per_record(monkeypatch):
     grid = Grid1D(-8.0, 8.0, 64)
     state = gaussian_product_metastate(grid, 0.0, 0.8, 0.0)
     calls = {"svd": 0, "eigvalsh": 0}
+    shapes = []
 
     def counting(name):
         real = getattr(np.linalg, name)
 
-        def wrapper(*args, **kwargs):
+        def wrapper(a, *args, **kwargs):
             calls[name] += 1
-            return real(*args, **kwargs)
+            shapes.append(a.shape)
+            return real(a, *args, **kwargs)
 
         return wrapper
 
     for name in calls:
         monkeypatch.setattr(np.linalg, name, counting(name))
     obs = _full_observer(3.2)(state)
-    # one range finder (one small SVD at the first rank) and no dense spectrum
-    assert calls == {"svd": 1, "eigvalsh": 0}
+    # one Rayleigh-Ritz solve at the first rank and no dense spectrum
+    assert calls == {"svd": 0, "eigvalsh": 1}
+    assert shapes == [(32, 32)]
     assert obs.checks["min_eigenvalue"] > -1e-10
     assert abs(obs.report.von_neumann_entropy) < 1e-6
 
@@ -662,11 +665,12 @@ def test_nan_invariant_reaches_summary(tmp_path, monkeypatch):
     calls = []
     eigvalsh = np.linalg.eigvalsh
 
-    def second_call_fails(*args, **kwargs):
-        calls.append(None)
-        if len(calls) == 2:
-            raise np.linalg.LinAlgError("refused")
-        return eigvalsh(*args, **kwargs)
+    def second_call_fails(a, *args, **kwargs):
+        if a.shape == (64, 64):  # the dense fallback; the 32 x 32 Ritz solves pass
+            calls.append(None)
+            if len(calls) == 2:
+                raise np.linalg.LinAlgError("refused")
+        return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "cholesky", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", second_call_fails)
