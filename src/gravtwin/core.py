@@ -192,11 +192,11 @@ def check_packet_width(grid: Grid1D, width: float) -> None:
 
 
 def _normalized_packet(
-    grid: Grid1D, center: float, width: float, momentum: float, hbar: float
+    grid: Grid1D, center: float, width: float, momentum: float
 ) -> tuple[NDArray[np.complex128], float]:
     """Checked, normalized packet samples and the grid norm they were divided by."""
     check_packet_width(grid, width)
-    psi = np.exp(-((grid.x - center) ** 2) / (4.0 * width**2) + 1j * momentum * grid.x / hbar)
+    psi = np.exp(-((grid.x - center) ** 2) / (4.0 * width**2) + 1j * momentum * grid.x)
     nrm = math.sqrt(float(np.vdot(psi, psi).real) * grid.dx)
     if nrm == 0.0:
         raise ValidationError("packet has zero mass on the grid")
@@ -215,14 +215,15 @@ def _normalized_packet(
 
 
 def gaussian_wavepacket(
-    grid: Grid1D, center: float, width: float, momentum: float, hbar: float = 1.0
+    grid: Grid1D, center: float, width: float, momentum: float
 ) -> NDArray[np.complex128]:
-    """Normalized single-copy packet psi(x) ~ exp(-(x-c)^2/(4 s^2) + i p x / hbar).
+    """Normalized single-copy packet psi(x) ~ exp(-(x-c)^2/(4 s^2) + i p x).
 
     Convention: width s is the position standard deviation at t = 0, so
-    the initial position variance is exactly s^2.
+    the initial position variance is exactly s^2.  The grid is
+    dimensionless: momentum p is given in units where hbar = 1.
     """
-    return _normalized_packet(grid, center, width, momentum, hbar)[0]
+    return _normalized_packet(grid, center, width, momentum)[0]
 
 
 def product_metastate(grid: Grid1D, psi: NDArray) -> MetaState:
@@ -246,7 +247,7 @@ def product_metastate(grid: Grid1D, psi: NDArray) -> MetaState:
 
 
 def gaussian_product_metastate(
-    grid: Grid1D, center: float, width: float, momentum: float, hbar: float = 1.0
+    grid: Grid1D, center: float, width: float, momentum: float
 ) -> MetaState:
     """Both copies in the same Gaussian packet, on the n x n pair grid.
 
@@ -255,7 +256,7 @@ def gaussian_product_metastate(
     here on purpose: the pair dynamics assumes the two copies begin
     identical.
     """
-    psi = gaussian_wavepacket(grid, center, width, momentum, hbar)
+    psi = gaussian_wavepacket(grid, center, width, momentum)
     return product_metastate(grid, psi)
 
 
@@ -319,14 +320,14 @@ def separated_product_state(
     centers: Sequence[float],
     width: float,
     momentum: float,
-    hbar: float = 1.0,
 ) -> SeparatedState:
     """psi(x) psi(x~) in separated form, psi the normalized sum of packets at `centers`.
 
     Equals product_metastate(grid, sum of gaussian_wavepacket(c)) on the
-    pair grid, up to rounding.  The product of packets a and b is
+    pair grid, up to rounding; momentum p is given in units where hbar = 1.
+    The product of packets a and b is
 
-        exp(-(X - (c_a + c_b)/2)^2 / 2 s^2 + 2 i p X / hbar)
+        exp(-(X - (c_a + c_b)/2)^2 / 2 s^2 + 2 i p X)
           * exp(-(r - (c_a - c_b))^2 / 8 s^2) / (n_a n_b N^2)
 
     with n_a packet a's grid norm and N the grid norm of the sum of the
@@ -336,7 +337,7 @@ def separated_product_state(
     """
     if len(centers) < 1:
         raise ValidationError("need at least one packet center")
-    packets = [_normalized_packet(grid, c, width, momentum, hbar) for c in centers]
+    packets = [_normalized_packet(grid, c, width, momentum) for c in centers]
     total = sum(psi for psi, _ in packets)
     big_n2 = float(np.vdot(total, total).real) * grid.dx
     if not (math.isfinite(big_n2) and big_n2 > 0):
@@ -346,7 +347,7 @@ def separated_product_state(
     for a, ca in enumerate(centers):
         for b in range(a, len(centers)):
             cb = centers[b]
-            com.append(np.exp(-((X - 0.5 * (ca + cb)) ** 2) / (2.0 * width**2) + 2j * momentum * X / hbar))
+            com.append(np.exp(-((X - 0.5 * (ca + cb)) ** 2) / (2.0 * width**2) + 2j * momentum * X))
             sep = np.exp(-((r - (ca - cb)) ** 2) / (8.0 * width**2))
             if b != a:
                 sep = sep + np.exp(-((r - (cb - ca)) ** 2) / (8.0 * width**2))

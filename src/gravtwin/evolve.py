@@ -16,16 +16,16 @@ above depends on r alone, so the step factorises into one 1D step per
 coordinate.  The pair amplitude is gathered only at record points that
 something reads.
 
-evolve runs the coupled step.  dyson_first_order runs the same engine's
-coupling-free step, with the coupling's derivative inserted around it,
-to carry the coupling-free channel and the single-insertion correction
-channel side by side for perturbative cross-checks.
+evolve runs the step at the pair's coupling.  dyson_first_order runs the
+same engine's step at G = 0, with the coupling's derivative inserted
+around it, to carry the coupling-free channel and the single-insertion
+correction channel side by side for perturbative cross-checks.
 """
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -111,18 +111,17 @@ def _non_finite(arr: NDArray) -> int:
 class _GridEngine:
     """The 2D engine: n x n pair amplitudes, stacked as channels on a leading axis."""
 
-    def __init__(self, state: MetaState, pair: PairPotential, cfg: EvolutionConfig, coupled: bool) -> None:
+    def __init__(self, state: MetaState, pair: PairPotential, cfg: EvolutionConfig) -> None:
         self.workers = fft_workers()
-        self.state, self.pair = state, pair
-        grid, hbar = state.grid, pair.units.hbar
-        v_diag = self.pair_samples() if coupled else 0.0
-        k2 = grid.momentum_grid**2
-        self.half_v = np.exp(-0.5j * cfg.dt / hbar * v_diag)
+        self.state = state
+        hbar = pair.units.hbar
+        k2 = state.grid.momentum_grid**2
+        self.half_v = np.exp(-0.5j * cfg.dt / hbar * self.pair_samples(pair))
         self.full_k = np.exp(-0.5j * hbar * cfg.dt / pair.species.mass * (k2[:, None] + k2[None, :]))
 
-    def pair_samples(self) -> NDArray[np.float64]:
+    def pair_samples(self, pair: PairPotential) -> NDArray[np.float64]:
         """V_pair(|x - x~|) over the pair grid."""
-        return self.pair.evaluate_on_grid(self.state.grid)
+        return pair.evaluate_on_grid(self.state.grid)
 
     def channels(self, extra: int) -> NDArray[np.complex128]:
         """The start amplitude as channel 0, then `extra` zero channels."""
@@ -149,24 +148,22 @@ class _SeparatedEngine:
 
     Each channel is (K, 2n).  X sits on 2n points at dx/2 with mass 2m and
     runs free; r sits on 2n points at dx with mass m/2 and feels V_pair(|r|)
-    when coupled.  A pair potential that is zero everywhere (G = 0) gives
-    no phase at all.
+    through the half-step phase, a unit phase at G = 0.
     """
 
-    def __init__(self, state: SeparatedState, pair: PairPotential, cfg: EvolutionConfig, coupled: bool) -> None:
+    def __init__(self, state: SeparatedState, pair: PairPotential, cfg: EvolutionConfig) -> None:
         self.workers = fft_workers()
-        self.state, self.pair = state, pair
+        self.state = state
         grid, hbar, mass = state.grid, pair.units.hbar, pair.species.mass
-        v_rel = self.pair_samples() if coupled else 0.0
-        self.half_rel = np.exp(-0.5j * cfg.dt / hbar * v_rel) if np.any(v_rel) else None
+        self.half_rel = np.exp(-0.5j * cfg.dt / hbar * self.pair_samples(pair))
         k_com = 2.0 * math.pi * sfft.fftfreq(2 * grid.n, d=0.5 * grid.dx)
         k_rel = 2.0 * math.pi * sfft.fftfreq(2 * grid.n, d=grid.dx)
         self.kin_com = np.exp(-0.5j * hbar * cfg.dt / (2.0 * mass) * k_com**2)
         self.kin_rel = np.exp(-0.5j * hbar * cfg.dt / (0.5 * mass) * k_rel**2)
 
-    def pair_samples(self) -> NDArray[np.float64]:
+    def pair_samples(self, pair: PairPotential) -> NDArray[np.float64]:
         """V_pair(|r|) on the separation samples."""
-        return self.pair.evaluate(np.abs(separated_axes(self.state.grid)[1]))
+        return pair.evaluate(np.abs(separated_axes(self.state.grid)[1]))
 
     def channels(self, extra: int) -> NDArray[np.complex128]:
         """The start factors as channels 0 (com) and 1 (rel), then `extra` zero channels."""
@@ -174,17 +171,13 @@ class _SeparatedEngine:
         z[0], z[1] = self.state.com, self.state.rel
         return z
 
-    def _half_phases(self, z: NDArray[np.complex128]) -> None:
-        if self.half_rel is not None:
-            z[1:] *= self.half_rel
-
     def step(self, z: NDArray[np.complex128]) -> NDArray[np.complex128]:
-        self._half_phases(z)
+        z[1:] *= self.half_rel
         z = sfft.fft(z, workers=self.workers, overwrite_x=True)
         z[0] *= self.kin_com
         z[1:] *= self.kin_rel
         z = sfft.ifft(z, workers=self.workers, overwrite_x=True)
-        self._half_phases(z)
+        z[1:] *= self.half_rel
         return z
 
     def gather(self, z: NDArray[np.complex128], t: float) -> MetaState:
@@ -194,18 +187,20 @@ class _SeparatedEngine:
 
 def _engine_for(
     state: MetaState | SeparatedState, pair: PairPotential, cfg: EvolutionConfig
-) -> tuple[type[_GridEngine] | type[_SeparatedEngine], MetaState]:
-    """The engine for the state's type and the start on the pair grid, once the shared checks pass.
+) -> tuple[_GridEngine | _SeparatedEngine, MetaState]:
+    """The engine stepping the state at the pair's coupling, and the start on the pair grid.
 
-    Every start must be normalized and dt must pass the CFL guard.
+    The separated engine steps a SeparatedState, the 2D engine a
+    MetaState.  Every start must be normalized and dt must pass the CFL
+    guard; both are checked before the engine is built.
     """
     if isinstance(state, SeparatedState):
-        engine, start = _SeparatedEngine, state.metastate()
+        build, start = _SeparatedEngine, state.metastate()
     else:
-        engine, start = _GridEngine, state
+        build, start = _GridEngine, state
     check_unit_norm(start)
     cfg.check_stability(state.grid, pair.species.mass, pair.units.hbar)
-    return engine, start
+    return build(state, pair, cfg), start
 
 
 def evolve(
@@ -226,8 +221,7 @@ def evolve(
     where something reads it: at every record point when there is an
     observer, else at the last step only.
     """
-    build, start = _engine_for(state, pair, cfg)
-    engine = build(state, pair, cfg, coupled=True)
+    engine, start = _engine_for(state, pair, cfg)
     psi = engine.channels(extra=0)
 
     times: list[float] = []
@@ -269,42 +263,39 @@ def dyson_first_order(
 ) -> tuple[MetaState, MetaState]:
     """Coupling-free channel plus the single-insertion correction channel.
 
-    Returns (psi0, psi1) at the final time: psi0 is the evolution with
-    the pair coupling removed, psi1 the first-order correction
+    Returns (psi0, psi1) at the final time: psi0 is the evolution at
+    G = 0, psi1 the first-order correction
 
         psi1 = -(i/hbar) * sum_k U0(t_b, t_k) V_pair U0(t_k, t_a) psi(t_a) dt
 
     discretised as the derivative in the coupling of the Strang step that
-    evolve applies.  Both are stepped by the engine evolve picks for the
-    state, with the coupling left out of its step.  The coupling enters
-    evolve's step only through its two half-step potential phases
-    exp(-i V_pair dt / 2 hbar), one at each end; the kinetic
-    phase carries none.  So around each coupling-free step a half
+    evolve applies.  Both are stepped by the engine evolve builds for the
+    state at G = 0.  The coupling enters evolve's step only through its
+    two half-step potential phases exp(-i V_pair dt / 2 hbar), one at each
+    end; the kinetic phase carries none.  So around each G = 0 step a half
     insertion -i V_pair dt / (2 hbar) psi0 is added to psi1 at both ends.
     psi1 is the last channel of the engine's stack and is fed from the
     one before it: psi0's pair amplitude on the 2D engine, its separation
     factor on the separated engine (the centre-of-mass factor is shared).
-    psi0 is then exactly the coupling-free run of evolve, psi1 exactly the
+    psi0 is then exactly evolve's run at G = 0, psi1 exactly the
     first-order term of the full discrete map, and the residual against
     evolve is purely second order in the coupling: no first-order
     splitting mismatch is left over.  psi1 is linear in the coupling, so
     scaling G by a power of two scales psi1 by the same power, bit for
     bit.  The channels share one stacked transform pair per step.
     Requires a perturbatively small coupling: pair.action_over_hbar of
-    the run time below PERTURBATIVE_WINDOW.  For a SeparatedState both
-    channels are gathered at the end.
+    the run time below PERTURBATIVE_WINDOW, checked before the start is
+    touched.  For a SeparatedState both channels are gathered at the end.
     """
-    build = _engine_for(state0, pair, cfg)[0]  # the gathered start is not kept
-    hbar = pair.units.hbar
     action = pair.action_over_hbar(cfg.dt * cfg.steps)
     if action >= PERTURBATIVE_WINDOW:
         raise ValidationError(
             f"coupling too large for a first-order split: |V(0)| T / hbar = {action:.3g} "
             f">= {PERTURBATIVE_WINDOW}"
         )
-
-    engine = build(state0, pair, cfg, coupled=False)
-    half_insert = (-0.5j * cfg.dt / hbar) * engine.pair_samples()
+    free = PairPotential(pair.species, replace(pair.units, G=0.0))
+    engine = _engine_for(state0, free, cfg)[0]  # the gathered start is not kept
+    half_insert = (-0.5j * cfg.dt / pair.units.hbar) * engine.pair_samples(pair)
     z = engine.channels(extra=1)
     for _ in range(cfg.steps):
         z[-1] += half_insert * z[-2]

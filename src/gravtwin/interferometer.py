@@ -165,7 +165,7 @@ def _corrections(cfg: InterferometerConfig, deltas) -> list[CorrectionResult]:
     """
     hbar = cfg.units.hbar
     s0, s1 = _actions(cfg)
-    if s0 != 0.0 and s0 / hbar >= PERTURBATIVE_WINDOW:  # s0 / hbar is PairPotential.action_over_hbar(T)
+    if s0 / hbar >= PERTURBATIVE_WINDOW:  # s0 / hbar is PairPotential.action_over_hbar(T)
         warnings.warn(
             f"coupling action S0/hbar = {s0 / hbar:.3g} is not small; "
             "the first-order result is outside its validity window",

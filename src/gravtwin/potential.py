@@ -129,8 +129,6 @@ class PairPotential:
             raise ValidationError(f"speed must be finite and > 0, got {v!r}")
         if not (math.isfinite(T) and T > 0):
             raise ValidationError(f"flight time must be finite and > 0, got {T!r}")
-        if self.units.G == 0.0:
-            return SeparatingAction(closed_form=0.0, quadrature=0.0)
         s_max = v * T / math.sqrt(2.0)
         closed = -(math.sqrt(2.0) / v) * self._antiderivative(s_max)
 

@@ -202,7 +202,7 @@ def _run_free_check(cfg: ScenarioConfig, emit: _Emitter) -> dict:
     width = cfg.values["packet.width"]
     center = cfg.values["packet.center"]
     momentum = cfg.values["packet.momentum"]
-    state = separated_product_state(grid, (center,), width, momentum, hbar=cfg.units.hbar)
+    state = separated_product_state(grid, (center,), width, momentum)
     times, observed = _observed_run(cfg, emit, state, cfg.units.G, "timeseries.csv")  # G = 0 here
 
     # Free-packet oracle: variance s^2(t) = s0^2 (1 + (hbar t / 2 m s0^2)^2),

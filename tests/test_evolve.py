@@ -210,7 +210,7 @@ def test_dyson_zeroth_channel_matches_free_run():
     for st in starts:
         psi0, _ = dyson_first_order(st, pair, cfg)
         ref = evolve(st, free_pair, cfg).final_state
-        assert np.max(np.abs(psi0.amplitudes - ref.amplitudes)) < 1e-12
+        assert np.array_equal(psi0.amplitudes, ref.amplitudes)
 
 
 def test_dyson_residual_quarter_scaling():
@@ -350,6 +350,18 @@ def test_dyson_precondition_guard():
     with pytest.raises(ValidationError):
         dyson_first_order(st, pair,
                           EvolutionConfig(dt=2e-3, steps=500))
+
+
+def test_dyson_refuses_window_before_gathering_the_start(monkeypatch):
+    # a coupling past the first-order window fails before the start is gathered on the pair grid
+    units, grid, pair = setup(g=20.0)
+    st = separated_product_state(grid, (-1.5, 1.5), 0.7, 0.0)
+    gathers = []
+    real_metastate = SeparatedState.metastate
+    monkeypatch.setattr(SeparatedState, "metastate", lambda self: gathers.append(self) or real_metastate(self))
+    with pytest.raises(ValidationError, match="first-order"):
+        dyson_first_order(st, pair, EvolutionConfig(dt=2e-3, steps=500))
+    assert gathers == []
 
 
 # --- separated centre-of-mass / separation engine ----------------------------

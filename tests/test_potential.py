@@ -178,9 +178,14 @@ def test_actions_nonnegative():
         assert pair.action_coincident(T=T) >= 0.0
 
 
-def test_action_zero_coupling():
+@pytest.mark.parametrize(
+    "v, T",
+    [(1.0, 1.0), (10.0, 10.0)],  # core only; core and tail (t_half 5 > t_break 0.14)
+    ids=["core-only", "tail"],
+)
+def test_action_zero_coupling(v, T):
     pair = dimensionless_pair(g=0.0)
-    act = pair.action_integral_separating(v=1.0, T=1.0)
+    act = pair.action_integral_separating(v=v, T=T)
     assert act.closed_form == 0.0 and act.quadrature == 0.0
     assert pair.action_coincident(T=1.0) == 0.0
 
