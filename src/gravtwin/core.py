@@ -18,7 +18,9 @@ NEWTON_G_SI = 6.67430e-11  # m^3 kg^-1 s^-2
 
 # How far a state's norm may sit from 1 before it is rejected as not normalized.
 UNIT_NORM_TOL = 1e-8
-_SKEW_BLOCK = 32  # rows per block of max_skew: at n = 512 a block is 256 KB, a cache-sized temporary
+# Rows per block of max_skew and of the separated gather: at n = 512 a block
+# is 256 KB, a cache-sized temporary.
+_ROW_BLOCK = 32
 
 
 class ValidationError(ValueError):
@@ -41,8 +43,8 @@ def max_skew(m: NDArray, conjugate: bool = False) -> float:
     """
     n = m.shape[0]
     maxima = []
-    for i in range(0, n, _SKEW_BLOCK):
-        j = i + _SKEW_BLOCK
+    for i in range(0, n, _ROW_BLOCK):
+        j = i + _ROW_BLOCK
         mirror = m[i:, i:j].T
         if conjugate:
             mirror = mirror.conj()
@@ -169,9 +171,10 @@ class MetaState:
         return max_skew(self.amplitudes)
 
 
-def check_unit_norm(state: MetaState) -> None:
+def check_unit_norm(state: MetaState | SeparatedState) -> None:
     """Reject a state whose norm sits more than UNIT_NORM_TOL from 1; never renormalise.
 
+    A SeparatedState is measured on its factors, without gathering it.
     A drift means mass left the grid or the evolution went wrong, so the
     message names the time, the norm and the missing probability 1 - norm^2.
     """
@@ -270,7 +273,9 @@ class SeparatedState:
     lands exactly on a sample of both factors.  The pair potential acts
     on the separation alone, so the two factors evolve independently, one
     1D problem each.  Both arrays are complex (K, 2n), validated and
-    marked read only.
+    marked read only.  The pair amplitude is formed _ROW_BLOCK rows at a
+    time: metastate() writes the blocks into the n x n array, norm() sums
+    them without one.
     """
 
     grid: Grid1D
@@ -293,20 +298,43 @@ class SeparatedState:
                 f"com shape {self.com.shape} and rel shape {self.rel.shape} differ"
             )
 
+    def _fill_rows(self, i: int, block: NDArray[np.complex128]) -> NDArray[np.complex128]:
+        """Rows i, i + 1, ... of the pair amplitude, written into block.
+
+        Each entry is sum_k com[k, i + j] rel[k, n + i - j], summed in k
+        order, so a block holds bitwise the rows of the whole-array sum.
+        """
+        n = self.grid.n
+        end = i + block.shape[0]
+        window = np.lib.stride_tricks.sliding_window_view
+        # hankel[k, i, j] = com[k, i + j]; toeplitz[k, i, j] = rel[k, n + i - j].
+        hankel = window(self.com[:, :-1], n, axis=-1)[:, i:end]
+        toeplitz = window(self.rel[:, 1:], n, axis=-1)[:, i:end, ::-1]
+        np.multiply(hankel[0], toeplitz[0], out=block)
+        for k in range(1, self.com.shape[0]):
+            block += hankel[k] * toeplitz[k]
+        return block
+
     def metastate(self) -> MetaState:
         """The amplitude on the pair grid, gathered by exact index arithmetic.
 
         Mass the factors carry outside the n x n box is dropped here.
         """
         n = self.grid.n
-        window = np.lib.stride_tricks.sliding_window_view
-        # hankel[k, i, j] = com[k, i + j]; toeplitz[k, i, j] = rel[k, n + i - j].
-        hankel = window(self.com[:, :-1], n, axis=-1)
-        toeplitz = window(self.rel[:, 1:], n, axis=-1)[..., ::-1]
-        amps = hankel[0] * toeplitz[0]
-        for k in range(1, self.com.shape[0]):
-            amps += hankel[k] * toeplitz[k]
+        amps = np.empty((n, n), dtype=np.complex128)
+        for i in range(0, n, _ROW_BLOCK):
+            self._fill_rows(i, amps[i:i + _ROW_BLOCK])
         return MetaState(grid=self.grid, amplitudes=amps, time=self.time, adopt=True)
+
+    def norm(self) -> float:
+        """The norm of metastate(), summed block by block with no n x n array."""
+        n = self.grid.n
+        block = np.empty((min(n, _ROW_BLOCK), n), dtype=np.complex128)
+        total = 0.0
+        for i in range(0, n, _ROW_BLOCK):
+            self._fill_rows(i, block)
+            total += float(np.vdot(block, block).real)
+        return math.sqrt(total) * self.grid.dx
 
 
 def separated_axes(grid: Grid1D) -> tuple[NDArray[np.float64], NDArray[np.float64]]:

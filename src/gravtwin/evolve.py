@@ -16,10 +16,12 @@ above depends on r alone, so the step factorises into one 1D step per
 coordinate.  The pair amplitude is gathered only at record points that
 something reads.
 
-evolve runs the step at the pair's coupling.  dyson_first_order runs the
-same engine's step at G = 0, with the coupling's derivative inserted
-around it, to carry the coupling-free channel and the single-insertion
-correction channel side by side for perturbative cross-checks.
+evolve runs the step at the couplings of a scan of pairs, one channel per
+coupling in one stack; on the separated engine the couplings share the
+free centre of mass.  dyson_first_order runs the same engine's step at
+G = 0, with the coupling's derivative inserted around it, to carry the
+coupling-free channel and the single-insertion correction channel side by
+side for perturbative cross-checks.
 """
 from __future__ import annotations
 
@@ -109,25 +111,34 @@ def _non_finite(arr: NDArray) -> int:
 
 
 class _GridEngine:
-    """The 2D engine: n x n pair amplitudes, stacked as channels on a leading axis."""
+    """The 2D engine: n x n pair amplitudes, stacked as channels on a leading axis.
 
-    def __init__(self, state: MetaState, pair: PairPotential, cfg: EvolutionConfig) -> None:
+    Channel c holds the pair amplitude at the coupling of pairs[c], and
+    half_v is the (C, n, n) stack of their half-step phases.
+    """
+
+    def __init__(self, state: MetaState, pairs: Sequence[PairPotential], cfg: EvolutionConfig) -> None:
         self.workers = fft_workers()
         self.state = state
-        hbar = pair.units.hbar
+        hbar, mass = pairs[0].units.hbar, pairs[0].species.mass
         k2 = state.grid.momentum_grid**2
-        self.half_v = np.exp(-0.5j * cfg.dt / hbar * self.pair_samples(pair))
-        self.full_k = np.exp(-0.5j * hbar * cfg.dt / pair.species.mass * (k2[:, None] + k2[None, :]))
+        samples = np.array([self.pair_samples(pair) for pair in pairs])
+        self.half_v = np.exp(-0.5j * cfg.dt / hbar * samples)
+        self.full_k = np.exp(-0.5j * hbar * cfg.dt / mass * (k2[:, None] + k2[None, :]))
 
     def pair_samples(self, pair: PairPotential) -> NDArray[np.float64]:
         """V_pair(|x - x~|) over the pair grid."""
         return pair.evaluate_on_grid(self.state.grid)
 
+    def start(self) -> MetaState:
+        """The start on the pair grid: the state itself."""
+        return self.state
+
     def channels(self, extra: int) -> NDArray[np.complex128]:
-        """The start amplitude as channel 0, then `extra` zero channels."""
-        n = self.state.grid.n
-        z = np.zeros((1 + extra, n, n), dtype=np.complex128)
-        z[0] = self.state.amplitudes
+        """The start amplitude in each coupling channel, then `extra` zero channels."""
+        n, couplings = self.state.grid.n, len(self.half_v)
+        z = np.zeros((couplings + extra, n, n), dtype=np.complex128)
+        z[:couplings] = self.state.amplitudes
         return z
 
     def step(self, z: NDArray[np.complex128]) -> NDArray[np.complex128]:
@@ -144,18 +155,20 @@ class _GridEngine:
 
 
 class _SeparatedEngine:
-    """The separated engine: centre-of-mass factors in channel 0, separation factors after it.
+    """The separated engine: the centre-of-mass factors in channel 0, one separation channel per coupling after it.
 
     Each channel is (K, 2n).  X sits on 2n points at dx/2 with mass 2m and
-    runs free; r sits on 2n points at dx with mass m/2 and feels V_pair(|r|)
-    through the half-step phase, a unit phase at G = 0.
+    runs free, so every coupling shares channel 0.  r sits on 2n points at
+    dx with mass m/2, and channel 1 + c feels V_pair(|r|) of pairs[c]
+    through half_rel[c], the (C, 1, 2n) stack of half-step phases.
     """
 
-    def __init__(self, state: SeparatedState, pair: PairPotential, cfg: EvolutionConfig) -> None:
+    def __init__(self, state: SeparatedState, pairs: Sequence[PairPotential], cfg: EvolutionConfig) -> None:
         self.workers = fft_workers()
         self.state = state
-        grid, hbar, mass = state.grid, pair.units.hbar, pair.species.mass
-        self.half_rel = np.exp(-0.5j * cfg.dt / hbar * self.pair_samples(pair))
+        grid, hbar, mass = state.grid, pairs[0].units.hbar, pairs[0].species.mass
+        samples = np.array([self.pair_samples(pair) for pair in pairs])[:, None, :]
+        self.half_rel = np.exp(-0.5j * cfg.dt / hbar * samples)
         k_com = 2.0 * math.pi * sfft.fftfreq(2 * grid.n, d=0.5 * grid.dx)
         k_rel = 2.0 * math.pi * sfft.fftfreq(2 * grid.n, d=grid.dx)
         self.kin_com = np.exp(-0.5j * hbar * cfg.dt / (2.0 * mass) * k_com**2)
@@ -165,10 +178,15 @@ class _SeparatedEngine:
         """V_pair(|r|) on the separation samples."""
         return pair.evaluate(np.abs(separated_axes(self.state.grid)[1]))
 
+    def start(self) -> MetaState:
+        """The start on the pair grid, gathered from its factors."""
+        return self.state.metastate()
+
     def channels(self, extra: int) -> NDArray[np.complex128]:
-        """The start factors as channels 0 (com) and 1 (rel), then `extra` zero channels."""
-        z = np.zeros((2 + extra,) + self.state.com.shape, dtype=np.complex128)
-        z[0], z[1] = self.state.com, self.state.rel
+        """The start com factors in channel 0, its rel factors in each coupling channel, then `extra` zero channels."""
+        couplings = len(self.half_rel)
+        z = np.zeros((1 + couplings + extra,) + self.state.com.shape, dtype=np.complex128)
+        z[0], z[1:1 + couplings] = self.state.com, self.state.rel
         return z
 
     def step(self, z: NDArray[np.complex128]) -> NDArray[np.complex128]:
@@ -186,48 +204,66 @@ class _SeparatedEngine:
 
 
 def _engine_for(
-    state: MetaState | SeparatedState, pair: PairPotential, cfg: EvolutionConfig
-) -> tuple[_GridEngine | _SeparatedEngine, MetaState]:
-    """The engine stepping the state at the pair's coupling, and the start on the pair grid.
+    state: MetaState | SeparatedState, pairs: Sequence[PairPotential], cfg: EvolutionConfig
+) -> _GridEngine | _SeparatedEngine:
+    """The engine stepping the state at each pair's coupling, one channel per pair.
 
     The separated engine steps a SeparatedState, the 2D engine a
-    MetaState.  Every start must be normalized and dt must pass the CFL
-    guard; both are checked before the engine is built.
+    MetaState.  The pairs share one kinetic phase, so they must agree in
+    everything but G: a scan with no pair, or whose pairs differ in species
+    or hbar, is rejected first.  Then the start must be normalized (a
+    SeparatedState is measured on its factors, not gathered) and dt must
+    pass the CFL guard.  All is checked before the engine is built.
     """
-    if isinstance(state, SeparatedState):
-        build, start = _SeparatedEngine, state.metastate()
-    else:
-        build, start = _GridEngine, state
-    check_unit_norm(start)
-    cfg.check_stability(state.grid, pair.species.mass, pair.units.hbar)
-    return build(state, pair, cfg), start
+    if not pairs:
+        raise ValidationError("need at least one pair potential to evolve with")
+    first = pairs[0]
+    for pair in pairs[1:]:
+        if pair.species != first.species or pair.units.hbar != first.units.hbar:
+            raise ValidationError(
+                f"the pairs of a scan may differ only in G: {pair.species!r}, hbar = "
+                f"{pair.units.hbar!r} against {first.species!r}, hbar = {first.units.hbar!r}"
+            )
+    check_unit_norm(state)
+    cfg.check_stability(state.grid, first.species.mass, first.units.hbar)
+    build = _SeparatedEngine if isinstance(state, SeparatedState) else _GridEngine
+    return build(state, pairs, cfg)
 
 
 def evolve(
     state: MetaState | SeparatedState,
-    pair: PairPotential,
+    pairs: Sequence[PairPotential],
     cfg: EvolutionConfig,
     observer: Callable[[MetaState], Any] | None = None,
-) -> EvolutionRecord:
-    """Propagate the pair state for cfg.steps steps of cfg.dt.
+) -> list[EvolutionRecord]:
+    """Propagate the pair state for cfg.steps steps of cfg.dt at each pair's coupling.
 
-    The pair potential couples the two coordinates through their
-    separation.  Amplitudes are checked for blow-up at every record
-    point; non-finite values abort the run with a step diagnostic.
+    Returns one EvolutionRecord per pair, in order; a single run is
+    evolve(state, (pair,), cfg)[0].  The pair potential couples the two
+    coordinates through their separation, and the pairs may differ only
+    in G.  All couplings are stepped as one stack of channels: on the
+    separated engine they share the free centre of mass.  Amplitudes are
+    checked for blow-up at every record point; non-finite values abort
+    the run with a step diagnostic.
 
     A SeparatedState is stepped by the separated engine.  The observer
-    and the final state see the gathered MetaState; mass outside the
+    and the final states see the gathered MetaState; mass outside the
     n x n box is dropped there.  The pair amplitude is gathered only
     where something reads it: at every record point when there is an
-    observer, else at the last step only.
+    observer, else at the last step only.  The start is the same for
+    every coupling, so it is gathered and observed once, and that one
+    observation opens each record's list.  At later record points the
+    couplings are gathered and observed one after another.
     """
-    engine, start = _engine_for(state, pair, cfg)
+    engine = _engine_for(state, pairs, cfg)
     psi = engine.channels(extra=0)
+    shared = len(psi) - len(pairs)  # the centre of mass on the separated engine, else none
 
     times: list[float] = []
-    observed: list[Any] = []
+    observed: list[list[Any]] = [[] for _ in pairs]
+    finals: list[MetaState] = []
 
-    def record(step: int, snap: MetaState | None = None) -> MetaState | None:
+    def record(step: int) -> None:
         t = state.time + step * cfg.dt
         bad = _non_finite(psi)
         if bad:
@@ -235,25 +271,35 @@ def evolve(
                 f"non-finite amplitudes at step {step} (t={t!r}): {bad} bad entries"
             )
         times.append(t)
+        if step == 0:
+            if observer is not None:
+                seen = observer(engine.start())
+                for obs in observed:
+                    obs.append(seen)
+            return
         if observer is None and step < cfg.steps:
-            return snap
-        if snap is None:
-            snap = engine.gather(psi, t)
-        if observer is not None:
-            observed.append(observer(snap))
-        return snap
+            return
+        for c, obs in enumerate(observed):
+            snap = engine.gather(psi[:shared + c + 1], t)
+            if observer is not None:
+                obs.append(observer(snap))
+            if step == cfg.steps:
+                finals.append(snap)
 
-    record(0, start)
+    record(0)
     for step in range(1, cfg.steps + 1):
         psi = engine.step(psi)
         if step % cfg.record_every == 0 or step == cfg.steps:
-            last = record(step)
+            record(step)
 
-    return EvolutionRecord(
-        times=np.array(times),
-        final_state=last,
-        reduced_observables=observed if observer is not None else None,
-    )
+    return [
+        EvolutionRecord(
+            times=np.array(times),
+            final_state=final,
+            reduced_observables=obs if observer is not None else None,
+        )
+        for final, obs in zip(finals, observed)
+    ]
 
 
 def dyson_first_order(
@@ -285,7 +331,8 @@ def dyson_first_order(
     bit.  The channels share one stacked transform pair per step.
     Requires a perturbatively small coupling: pair.action_over_hbar of
     the run time below PERTURBATIVE_WINDOW, checked before the start is
-    touched.  For a SeparatedState both channels are gathered at the end.
+    touched.  A SeparatedState's start norm is checked on its factors, and
+    only the two channels are gathered, at the end.
     """
     action = pair.action_over_hbar(cfg.dt * cfg.steps)
     if action >= PERTURBATIVE_WINDOW:
@@ -294,7 +341,7 @@ def dyson_first_order(
             f">= {PERTURBATIVE_WINDOW}"
         )
     free = PairPotential(pair.species, replace(pair.units, G=0.0))
-    engine = _engine_for(state0, free, cfg)[0]  # the gathered start is not kept
+    engine = _engine_for(state0, (free,), cfg)
     half_insert = (-0.5j * cfg.dt / pair.units.hbar) * engine.pair_samples(pair)
     z = engine.channels(extra=1)
     for _ in range(cfg.steps):
@@ -309,15 +356,22 @@ def dyson_first_order(
     return engine.gather(z[:-1], t_end), engine.gather(z, t_end)
 
 
-def first_order_position_density(psi0: MetaState, psi1: MetaState) -> NDArray[np.float64]:
-    """Physical-coordinate density through first order in the coupling.
+def first_order_position_density(
+    psi0: MetaState, psi1: MetaState, scales: Sequence[float]
+) -> list[NDArray[np.float64]]:
+    """Physical-coordinate densities through first order, one per scale s of the coupling.
 
-    Pr(X) = integral over the hidden coordinate of |psi0|^2 + 2 Re(psi0 psi1*);
-    the correction integrates to zero, so the total mass stays 1.
+    Pr_s(X) = integral over the hidden coordinate of |psi0|^2 + s 2 Re(psi0 psi1*);
+    the correction integrates to zero, so the total mass stays 1.  psi1 is
+    linear in the coupling, so scale s stands for the coupling times s.
+    |psi0|^2 and 2 Re(psi0 psi1*) are formed once for all scales.  For s a
+    power of two, s 2 Re(psi0 psi1*) is bitwise 2 Re(psi0 (s psi1)*) as long
+    as nothing underflows.
     """
     if psi0.grid != psi1.grid:
         raise ValidationError("psi0 and psi1 must share a grid")
     a0 = psi0.amplitudes
     a1 = psi1.amplitudes
-    dens = np.abs(a0) ** 2 + 2.0 * (a0 * np.conj(a1)).real
-    return dens.sum(axis=1) * psi0.grid.dx
+    dens0 = np.abs(a0) ** 2
+    cross = 2.0 * (a0 * np.conj(a1)).real
+    return [(dens0 + s * cross).sum(axis=1) * psi0.grid.dx for s in scales]

@@ -146,15 +146,19 @@ def _timeseries_rows(times, observed: Sequence[_Observation]):
         yield (t, o.checks["norm"], r.purity, r.linear_entropy, r.von_neumann_entropy, r.coherence_offdiag)
 
 
-def _observed_run(cfg: ScenarioConfig, emit: _Emitter, state: SeparatedState, g: float, name: str):
-    """Times and full observations of state evolved at coupling g; the time series goes to CSV name."""
-    pair = PairPotential(species=cfg.species, units=UnitSystem.dimensionless(g))
+def _observed_runs(
+    cfg: ScenarioConfig, emit: _Emitter, state: SeparatedState, couplings: Sequence[float], names: Sequence[str]
+) -> list[tuple[NDArray[np.float64], list[_Observation]]]:
+    """Times and full observations of state evolved at each coupling, in one scan; each time series goes to its CSV name."""
+    pairs = [PairPotential(species=cfg.species, units=UnitSystem.dimensionless(g)) for g in couplings]
     observer = _full_observer(cfg.values["report.d_cut"])
-    record = evolve(state, pair, cfg=cfg.evolution, observer=observer)
-    observed = record.reduced_observables
-    assert observed is not None
-    emit.emit(name, csv_bytes(TIMESERIES_COLUMNS, _timeseries_rows(record.times, observed)))
-    return record.times, observed
+    runs = []
+    for record, name in zip(evolve(state, pairs, cfg=cfg.evolution, observer=observer), names):
+        observed = record.reduced_observables
+        assert observed is not None
+        emit.emit(name, csv_bytes(TIMESERIES_COLUMNS, _timeseries_rows(record.times, observed)))
+        runs.append((record.times, observed))
+    return runs
 
 
 def _two_packet_state(cfg: ScenarioConfig) -> SeparatedState:
@@ -203,7 +207,7 @@ def _run_free_check(cfg: ScenarioConfig, emit: _Emitter) -> dict:
     center = cfg.values["packet.center"]
     momentum = cfg.values["packet.momentum"]
     state = separated_product_state(grid, (center,), width, momentum)
-    times, observed = _observed_run(cfg, emit, state, cfg.units.G, "timeseries.csv")  # G = 0 here
+    [(times, observed)] = _observed_runs(cfg, emit, state, (cfg.units.G,), ("timeseries.csv",))  # G = 0 here
 
     # Free-packet oracle: variance s^2(t) = s0^2 (1 + (hbar t / 2 m s0^2)^2),
     # center drifting at momentum / mass.
@@ -243,8 +247,8 @@ def _run_two_packet(cfg: ScenarioConfig, emit: _Emitter) -> dict:
     state = _two_packet_state(cfg)
     per_g: dict[float, dict] = {}
     checks: list[dict[str, float]] = []
-    for g in couplings:
-        times, observed = _observed_run(cfg, emit, state, g, f"timeseries_g{g!r}.csv")
+    names = [f"timeseries_g{g!r}.csv" for g in couplings]
+    for g, (times, observed) in zip(couplings, _observed_runs(cfg, emit, state, couplings, names)):
         purities = [o.report.purity for o in observed]
         # Initial decay rate: purity lost per unit time over the first tenth of the run.
         t0 = float(times[0])
@@ -285,21 +289,19 @@ def _run_perturbative(cfg: ScenarioConfig, emit: _Emitter) -> dict:
 
     # One Dyson pass at g0, first: its perturbative-window guard at g0 is the
     # cheapest way this scenario can fail.  psi0 does not depend on g and
-    # psi1 is linear in it, so psi1(g0 / 2^j) = 2^-j psi1(g0), exact in
-    # floating point.  Only the first-order densities outlive the pass.
+    # psi1 is linear in it, so the first-order density at g0 / 2^j scales
+    # psi1's term by 2^-j, exact in floating point.  Only the first-order
+    # densities outlive the pass.
     pair0 = PairPotential(species=cfg.species, units=cfg.units)
     psi0, psi1 = dyson_first_order(state, pair0, cfg=cfg.evolution)
-    approx_densities = [
-        first_order_position_density(psi0, replace(psi1, amplitudes=0.5**j * psi1.amplitudes))
-        for j in range(len(couplings))
-    ]
+    approx_densities = first_order_position_density(psi0, psi1, [0.5**j for j in range(len(couplings))])
     del psi0, psi1
 
+    pairs = [PairPotential(species=cfg.species, units=UnitSystem.dimensionless(g)) for g in couplings]
+    records = evolve(state, pairs, cfg=cfg.evolution, observer=structural_checks)
     residuals = []
     checks: list[dict[str, float]] = []
-    for g, approx_density in zip(couplings, approx_densities):
-        pair = PairPotential(species=cfg.species, units=UnitSystem.dimensionless(g))
-        record = evolve(state, pair, cfg=cfg.evolution, observer=structural_checks)
+    for record, approx_density in zip(records, approx_densities):
         assert record.reduced_observables is not None
         full_density = np.sum(np.abs(record.final_state.amplitudes) ** 2, axis=1) * grid.dx
         residuals.append(float(np.max(np.abs(full_density - approx_density))))

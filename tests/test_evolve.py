@@ -60,10 +60,10 @@ def test_cfl_guard():
     # dx = 0.125: stability needs dt < pi hbar / (4 E_kin_max) ~ 2.49e-3
     cfg = EvolutionConfig(dt=5e-3, steps=10)
     with pytest.raises(CFLViolation) as err:
-        evolve(st, pair, cfg)
+        evolve(st, (pair,), cfg)
     assert "largest stable dt" in str(err.value)
     # just inside the bound is accepted
-    evolve(st, pair, EvolutionConfig(dt=2.4e-3, steps=1))
+    evolve(st, (pair,), EvolutionConfig(dt=2.4e-3, steps=1))
 
 
 def test_requires_normalized_input():
@@ -71,15 +71,15 @@ def test_requires_normalized_input():
     st = gaussian_product_metastate(grid, 0.0, 0.6, 0.0)
     bad = MetaState(grid=grid, amplitudes=1.5 * st.amplitudes)
     with pytest.raises(ValidationError):
-        evolve(bad, pair, EvolutionConfig(dt=1e-3, steps=1))
+        evolve(bad, (pair,), EvolutionConfig(dt=1e-3, steps=1))
 
 
 def test_free_norm_conservation():
     units, grid, pair = setup()
     st = gaussian_product_metastate(grid, 0.0, 0.6, 1.0)
-    rec = evolve(st, pair,
+    rec = evolve(st, (pair,),
                  EvolutionConfig(dt=1e-3, steps=300, record_every=50),
-                 observer=lambda s: s.norm())
+                 observer=lambda s: s.norm())[0]
     assert np.max(np.abs(np.array(rec.reduced_observables) - 1.0)) < 1e-12
 
 
@@ -91,8 +91,8 @@ def test_free_spreading_law():
     t_double = math.sqrt(3.0) * 2.0 * sigma0**2  # sigma doubles here
     steps = 500
     cfg = EvolutionConfig(dt=t_double / steps, steps=steps, record_every=50)
-    rec = evolve(st, pair, cfg,
-                 observer=lambda s: {"var": moments(s)[1]})
+    rec = evolve(st, (pair,), cfg,
+                 observer=lambda s: {"var": moments(s)[1]})[0]
     var = np.array([o["var"] for o in rec.reduced_observables])
     expected = sigma0**2 * (1.0 + (rec.times / (2.0 * sigma0**2)) ** 2)
     np.testing.assert_allclose(var, expected, rtol=1e-4)
@@ -111,7 +111,7 @@ def test_pair_coupling_leaves_centre_of_mass_free(engine):
             st = gaussian_product_metastate(grid, center, 0.7, momentum)
         else:
             st = separated_product_state(grid, (center - 1.5, center + 1.5), 0.7, momentum)
-        rec = evolve(st, pair, cfg, observer=moments)
+        rec = evolve(st, (pair,), cfg, observer=moments)[0]
         mean = np.array([o[0] for o in rec.reduced_observables])
         np.testing.assert_allclose(mean, center + momentum * rec.times / UNIT.mass, rtol=0.0, atol=1e-11)
         variances[g] = rec.reduced_observables[-1][1]
@@ -122,7 +122,7 @@ def test_pair_coupling_leaves_centre_of_mass_free(engine):
 def test_exchange_symmetry_preserved():
     units, grid, pair = setup(g=1.0)
     st = gaussian_product_metastate(grid, 0.5, 0.7, 0.8)
-    rec = evolve(st, pair, EvolutionConfig(dt=1e-3, steps=400))
+    rec = evolve(st, (pair,), EvolutionConfig(dt=1e-3, steps=400))[0]
     assert rec.final_state.exchange_asymmetry() < 1e-10
 
 
@@ -130,9 +130,9 @@ def test_time_reversal_fidelity():
     units, grid, pair = setup(g=1.0)
     st = gaussian_product_metastate(grid, 0.0, 0.7, 1.0)
     cfg = EvolutionConfig(dt=1e-3, steps=300)
-    fwd = evolve(st, pair, cfg).final_state
+    fwd = evolve(st, (pair,), cfg)[0].final_state
     back_in = MetaState(grid=grid, amplitudes=np.conj(fwd.amplitudes))
-    back = evolve(back_in, pair, cfg).final_state
+    back = evolve(back_in, (pair,), cfg)[0].final_state
     overlap = np.vdot(st.amplitudes, np.conj(back.amplitudes)) * grid.dx**2
     assert abs(overlap) > 1.0 - 1e-8
 
@@ -149,7 +149,7 @@ def test_splitting_order_is_two():
         finals = {}
         for div in (1, 2, 4):
             cfg = EvolutionConfig(dt=1e-3 / div, steps=100 * div)
-            finals[div] = evolve(st, pair, cfg).final_state.amplitudes
+            finals[div] = evolve(st, (pair,), cfg)[0].final_state.amplitudes
         e1 = np.linalg.norm(finals[1] - finals[4])
         e2 = np.linalg.norm(finals[2] - finals[4])
         p = math.log2(e1 / e2 - 1.0)
@@ -165,16 +165,87 @@ def test_record_points(monkeypatch):
     cfg = EvolutionConfig(dt=1e-3, steps=95, record_every=30)
     for st in (gaussian_product_metastate(grid, 0.0, 0.6, 0.0), separated_product_state(grid, (0.0,), 0.6, 0.0)):
         gathers.clear()
-        rec = evolve(st, pair, cfg)
+        rec = evolve(st, (pair,), cfg)[0]
         np.testing.assert_allclose(rec.times, np.array([0, 30, 60, 90, 95]) * 1e-3, rtol=1e-12)
         assert rec.final_state.time == rec.times[-1]
         assert rec.reduced_observables is None
         # with no observer only the final state is gathered
         assert gathers == [rec.times[-1]]
         gathers.clear()
-        seen = evolve(st, pair, cfg, observer=lambda s: s.time).reduced_observables
+        seen = evolve(st, (pair,), cfg, observer=lambda s: s.time)[0].reduced_observables
         assert seen == list(rec.times)
         assert gathers == list(rec.times[1:])  # the start needs no gather
+
+
+# --- a coupling scan as one stack ----------------------------------------------
+
+SCAN_COUPLINGS = (0.0, 0.25, 1.0)
+
+
+def scan_start(engine, grid):
+    """Two packets 4 apart, moving: on the pair grid for the 2D engine, as factors for the separated one."""
+    if engine == "2d":
+        return product_oracle(grid, (-2.0, 2.0), 0.7, 0.5)
+    return separated_product_state(grid, (-2.0, 2.0), 0.7, 0.5)
+
+
+@pytest.mark.parametrize("engine", ["2d", "separated"])
+def test_scan_equals_one_pair_runs_bitwise(engine):
+    grid = Grid1D(-16.0, 16.0, 128)
+    st = scan_start(engine, grid)
+    pairs = [PairPotential(UNIT, UnitSystem.dimensionless(g)) for g in SCAN_COUPLINGS]
+    cfg = EvolutionConfig(dt=1e-3, steps=50, record_every=20)
+    scan = evolve(st, pairs, cfg, observer=lambda s: s.amplitudes)
+    assert len(scan) == len(pairs)
+    for pair, rec in zip(pairs, scan):
+        alone = evolve(st, (pair,), cfg, observer=lambda s: s.amplitudes)[0]
+        assert np.array_equal(rec.times, alone.times)
+        assert rec.final_state.time == alone.final_state.time
+        assert np.array_equal(rec.final_state.amplitudes, alone.final_state.amplitudes)
+        assert len(rec.reduced_observables) == len(alone.reduced_observables) == 4
+        for seen, seen_alone in zip(rec.reduced_observables, alone.reduced_observables):
+            assert np.array_equal(seen, seen_alone)
+
+
+def test_scan_observes_the_start_once(monkeypatch):
+    units, grid, _ = setup(half_span=16.0)
+    st = scan_start("separated", grid)
+    pairs = [PairPotential(UNIT, UnitSystem.dimensionless(g)) for g in SCAN_COUPLINGS]
+    cfg = EvolutionConfig(dt=1e-3, steps=40, record_every=20)
+    gathers = []
+    real_metastate = SeparatedState.metastate
+    monkeypatch.setattr(SeparatedState, "metastate", lambda self: gathers.append(self.time) or real_metastate(self))
+
+    # with no observer only the final states are gathered, the start not at all
+    scan = evolve(st, pairs, cfg)
+    times = list(scan[0].times)
+    assert gathers == [times[-1]] * len(pairs)
+
+    gathers.clear()
+    seen = []
+    scan = evolve(st, pairs, cfg, observer=lambda s: seen.append(s.time) or [s.time])
+    per_record = [t for t in times[1:] for _ in pairs]
+    assert seen == gathers == [times[0]] + per_record
+    opening = scan[0].reduced_observables[0]
+    assert all(rec.reduced_observables[0] is opening for rec in scan)
+    assert [rec.reduced_observables for rec in scan] == [[[t] for t in times]] * len(pairs)
+
+
+def test_scan_rejects_pairs_that_differ_beyond_g(monkeypatch):
+    units, grid, pair = setup(g=0.5, half_span=16.0)
+    st = scan_start("separated", grid)
+    cfg = EvolutionConfig(dt=1e-3, steps=5)
+    heavier = PairPotential(ParticleSpecies(mass=2.0, radius=1.0), units)
+    other_hbar = (
+        PairPotential(UNIT, UnitSystem(hbar=1.0, G=0.5)),
+        PairPotential(UNIT, UnitSystem(hbar=2.0, G=0.5)),
+    )
+    gathers = []
+    monkeypatch.setattr(SeparatedState, "metastate", lambda self: gathers.append(self))
+    for pairs, match in (((), "at least one"), ((pair, heavier), "only in G"), (other_hbar, "only in G")):
+        with pytest.raises(ValidationError, match=match):
+            evolve(st, pairs, cfg)
+    assert gathers == []
 
 
 def test_nan_abort_with_diagnostic():
@@ -184,7 +255,7 @@ def test_nan_abort_with_diagnostic():
     amps.setflags(write=True)
     amps[0, 0] = np.nan  # simulate an upstream blow-up
     with pytest.raises(NumericalAbort) as err:
-        evolve(st, pair, EvolutionConfig(dt=1e-3, steps=5))
+        evolve(st, (pair,), EvolutionConfig(dt=1e-3, steps=5))
     assert "step" in str(err.value)
 
 
@@ -209,7 +280,7 @@ def test_dyson_zeroth_channel_matches_free_run():
     )
     for st in starts:
         psi0, _ = dyson_first_order(st, pair, cfg)
-        ref = evolve(st, free_pair, cfg).final_state
+        ref = evolve(st, (free_pair,), cfg)[0].final_state
         assert np.array_equal(psi0.amplitudes, ref.amplitudes)
 
 
@@ -223,7 +294,7 @@ def test_dyson_residual_quarter_scaling():
             st = gaussian_product_metastate(grid, 0.0, 0.7, 0.0)
         cfg = EvolutionConfig(dt=5e-4, steps=200)
         psi0, psi1 = dyson_first_order(st, pair, cfg)
-        full = evolve(st, pair, cfg).final_state
+        full = evolve(st, (pair,), cfg)[0].final_state
         residuals[g] = np.linalg.norm(
             full.amplitudes - psi0.amplitudes - psi1.amplitudes
         )
@@ -288,7 +359,7 @@ def test_dyson_is_derivative_of_strang_step(kind):
     _, psi1 = dyson_first_order(st, pair, cfg)
 
     def full(gg):
-        return evolve(st, setup(g=gg)[2], cfg).final_state.amplitudes
+        return evolve(st, (setup(g=gg)[2],), cfg)[0].final_state.amplitudes
 
     eps = 1e-3 * g
     u0, u1, u2 = full(0.0), full(eps), full(2.0 * eps)
@@ -327,7 +398,7 @@ def test_dyson_density_mass_conserved():
     st = gaussian_product_metastate(grid, 0.0, 0.7, 0.0)
     psi0, psi1 = dyson_first_order(st, pair,
                                    EvolutionConfig(dt=1e-3, steps=80))
-    pr = first_order_position_density(psi0, psi1)
+    [pr] = first_order_position_density(psi0, psi1, (1.0,))
     np.testing.assert_allclose(np.sum(pr) * grid.dx, 1.0, atol=1e-8)
 
 
@@ -337,11 +408,11 @@ def test_first_order_density_compares_grids_by_value():
     psi0, psi1 = dyson_first_order(gaussian_product_metastate(grid, 0.0, 0.7, 0.0),
                                    pair, EvolutionConfig(dt=1e-3, steps=20))
     twin = MetaState(grid=twin_grid, amplitudes=psi1.amplitudes, time=psi1.time)
-    np.testing.assert_array_equal(first_order_position_density(psi0, twin),
-                                  first_order_position_density(psi0, psi1))
+    np.testing.assert_array_equal(first_order_position_density(psi0, twin, (1.0,))[0],
+                                  first_order_position_density(psi0, psi1, (1.0,))[0])
     coarse = gaussian_product_metastate(Grid1D(grid.x_min, grid.x_max, grid.n // 2), 0.0, 0.7, 0.0)
     with pytest.raises(ValidationError):
-        first_order_position_density(psi0, coarse)
+        first_order_position_density(psi0, coarse, (1.0,))
 
 
 def test_dyson_precondition_guard():
@@ -362,6 +433,17 @@ def test_dyson_refuses_window_before_gathering_the_start(monkeypatch):
     with pytest.raises(ValidationError, match="first-order"):
         dyson_first_order(st, pair, EvolutionConfig(dt=2e-3, steps=500))
     assert gathers == []
+
+
+def test_separated_dyson_gathers_only_its_two_channels(monkeypatch):
+    # the start norm is read on the factors, so only psi0 and psi1 reach the pair grid
+    units, grid, pair = setup(g=0.5)
+    st = separated_product_state(grid, (-1.5, 1.5), 0.7, 0.0)
+    gathers = []
+    real_metastate = SeparatedState.metastate
+    monkeypatch.setattr(SeparatedState, "metastate", lambda self: gathers.append(self.time) or real_metastate(self))
+    psi0, psi1 = dyson_first_order(st, pair, EvolutionConfig(dt=1e-3, steps=20))
+    assert gathers == [psi0.time, psi1.time]
 
 
 # --- separated centre-of-mass / separation engine ----------------------------
@@ -405,8 +487,8 @@ def test_separated_engine_agrees_with_2d_engine(case):
     sep = separated_product_state(grid, centers, 0.7, momentum)
     ref = product_oracle(grid, centers, 0.7, momentum)
     cfg = EvolutionConfig(dt=5e-4, steps=200, record_every=200)
-    full = evolve(sep, pair, cfg).final_state
-    full_ref = evolve(ref, pair, cfg).final_state
+    full = evolve(sep, (pair,), cfg)[0].final_state
+    full_ref = evolve(ref, (pair,), cfg)[0].final_state
     assert np.max(np.abs(full.amplitudes - full_ref.amplitudes)) <= 5e-9
     psi0, psi1 = dyson_first_order(sep, pair, cfg)
     ref0, ref1 = dyson_first_order(ref, pair, cfg)
@@ -422,8 +504,8 @@ def test_separated_free_pair_matches_closed_form():
     t_end = math.sqrt(3.0) * 2.0 * width**2  # width doubling time, ~0.87
     steps = 250
     sep = separated_product_state(grid, (0.0,), width, momentum)
-    rec = evolve(sep, pair,
-                 EvolutionConfig(dt=t_end / steps, steps=steps, record_every=steps))
+    rec = evolve(sep, (pair,),
+                 EvolutionConfig(dt=t_end / steps, steps=steps, record_every=steps))[0]
     x = grid.x
     alpha = 1.0 + 1j * rec.final_state.time / (2.0 * width**2)
     psi = (
@@ -434,6 +516,56 @@ def test_separated_free_pair_matches_closed_form():
     exact = np.outer(psi, psi)
     assert abs(rec.final_state.time - t_end) < 1e-12
     assert np.max(np.abs(rec.final_state.amplitudes - exact)) <= 1e-12
+
+
+def random_factors(grid, terms, seed):
+    """A SeparatedState with seeded random factors on all 2n samples, gathered norm 1.
+
+    The factors fill the whole (X, r) square, about half of which lies
+    outside the n x n box, so the gather drops much of their mass.
+    """
+    rng = np.random.default_rng(seed)
+    shape = (terms, 2 * grid.n)
+    com, rel = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2))
+    rel /= SeparatedState(grid=grid, com=com, rel=rel).metastate().norm()
+    return SeparatedState(grid=grid, com=com, rel=rel)
+
+
+def whole_array_gather(sep):
+    """The pair amplitude by the whole-array formula: sum_k hankel[k] * toeplitz[k] in one n x n pass."""
+    n = sep.grid.n
+    window = np.lib.stride_tricks.sliding_window_view
+    hankel = window(sep.com[:, :-1], n, axis=-1)
+    toeplitz = window(sep.rel[:, 1:], n, axis=-1)[..., ::-1]
+    amps = hankel[0] * toeplitz[0]
+    for k in range(1, sep.com.shape[0]):
+        amps += hankel[k] * toeplitz[k]
+    return amps
+
+
+# K = 1, 3 and 6 are the term counts of the one-, two- and three-packet builders.
+@pytest.mark.parametrize("terms", [1, 3, 6])
+@pytest.mark.parametrize("n", [8, 64, 512])
+def test_blocked_gather_is_the_whole_array_formula_bitwise(n, terms):
+    sep = random_factors(Grid1D(-16.0, 16.0, n), terms, seed=100 * n + terms)
+    assert np.array_equal(sep.metastate().amplitudes, whole_array_gather(sep))
+
+
+@pytest.mark.parametrize("case", sorted(AGREEMENT_CASES) + ["factors-outside-the-box"])
+def test_separated_norm_is_the_gathered_norm(case):
+    grid = Grid1D(-16.0, 16.0, 256)
+    if case in AGREEMENT_CASES:
+        centers, momentum = AGREEMENT_CASES[case]
+        sep = separated_product_state(grid, centers, 0.7, momentum)
+    else:
+        sep = random_factors(grid, 3, seed=7)
+        # F[s, m] = sum_k com[k, s] rel[k, m]; the box holds the samples with s + m - n even
+        # and |s - n + 1| + |m - n| <= n - 1, so the whole lattice carries more mass than the box.
+        f = sep.com.T @ sep.rel
+        s, m = np.indices(f.shape)
+        lattice = math.sqrt(float(np.sum(np.abs(f[(s + m - grid.n) % 2 == 0]) ** 2))) * grid.dx
+        assert lattice > 1.2
+    assert abs(sep.norm() - sep.metastate().norm()) <= 1e-14
 
 
 def test_separated_state_validation():

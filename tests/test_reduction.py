@@ -216,7 +216,7 @@ def _evolved_state(n, kind):
     pair = PairPotential(ParticleSpecies(mass=1.0, radius=1.0), UnitSystem.dimensionless(g))
     state = separated_product_state(grid, centers, 0.7, 0.0)
     cfg = EvolutionConfig(dt=5e-4, steps=steps, record_every=steps)
-    return evolve(state, pair, cfg).final_state
+    return evolve(state, (pair,), cfg)[0].final_state
 
 
 ORACLE_CASES = [(n, kind) for n in (128, 512) for kind in ("free", "two-packet", "early", "crosscheck")]

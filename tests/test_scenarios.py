@@ -797,6 +797,19 @@ def test_a_geometry_scan_operation_passes_the_benchmark_checks(tmp_path, bench):
         assert problems == [], (j, problems)
 
 
+
+def test_a_crosscheck_operation_passes_the_benchmark_checks(tmp_path, bench):
+    # The benchmark's own output checks, run on one operation of its
+    # crosscheck workload through the CLI entry point it times.
+    inputs, checks = bench
+    values = inputs.make_inputs("crosscheck", 0)
+    config = tmp_path / "config.cfg"
+    config.write_text(inputs.config_text(values))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
+    problems, _ = checks.check_run(out, values)
+    assert problems == []
+
 # The config key each flag of BAD_FLAG_VALUES stands for, per verb.
 FLAG_KEYS = {
     "potential": {"--mass": ("species.mass",), "--radius": ("species.radius",),
