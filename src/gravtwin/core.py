@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field
-from typing import Sequence
+from functools import cached_property
+from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -139,9 +140,9 @@ class MetaState:
 
     amplitudes[i, j] is the value at (x[i], x~[j]).  The squared norm is
     the Riemann sum with weight dx^2.  Instances are immutable; the
-    array is marked read only.  A caller that hands over a freshly built
-    array and keeps no other reference to it passes adopt=True to skip the
-    defensive copy.
+    array is marked read only, so the norm is summed once and kept.  A
+    caller that hands over a freshly built array and keeps no other
+    reference to it passes adopt=True to skip the defensive copy.
     """
 
     grid: Grid1D
@@ -164,6 +165,10 @@ class MetaState:
 
     def norm(self) -> float:
         """l2 norm with the dx^2 Riemann weight."""
+        return self._norm
+
+    @cached_property
+    def _norm(self) -> float:
         return math.sqrt(float(np.vdot(self.amplitudes, self.amplitudes).real)) * self.grid.dx
 
     def exchange_asymmetry(self) -> float:
@@ -275,7 +280,7 @@ class SeparatedState:
     1D problem each.  Both arrays are complex (K, 2n), validated and
     marked read only.  The pair amplitude is formed _ROW_BLOCK rows at a
     time: metastate() writes the blocks into the n x n array, norm() sums
-    them without one.
+    them without one, once per state.
     """
 
     grid: Grid1D
@@ -298,22 +303,30 @@ class SeparatedState:
                 f"com shape {self.com.shape} and rel shape {self.rel.shape} differ"
             )
 
-    def _fill_rows(self, i: int, block: NDArray[np.complex128]) -> NDArray[np.complex128]:
-        """Rows i, i + 1, ... of the pair amplitude, written into block.
+    def _fill_rows(self, out: NDArray[np.complex128] | None = None) -> Iterator[NDArray[np.complex128]]:
+        """The pair amplitude _ROW_BLOCK rows at a time, top to bottom: one pass.
 
         Each entry is sum_k com[k, i + j] rel[k, n + i - j], summed in k
         order, so a block holds bitwise the rows of the whole-array sum.
+        The blocks are the row blocks of out (n x n) when it is given, else
+        one reused buffer that the next block overwrites.
         """
         n = self.grid.n
-        end = i + block.shape[0]
         window = np.lib.stride_tricks.sliding_window_view
-        # hankel[k, i, j] = com[k, i + j]; toeplitz[k, i, j] = rel[k, n + i - j].
-        hankel = window(self.com[:, :-1], n, axis=-1)[:, i:end]
-        toeplitz = window(self.rel[:, 1:], n, axis=-1)[:, i:end, ::-1]
-        np.multiply(hankel[0], toeplitz[0], out=block)
-        for k in range(1, self.com.shape[0]):
-            block += hankel[k] * toeplitz[k]
-        return block
+        # hankel[k, i, j] = com[k, i + j].  toeplitz[k, i, j] = rel[k, n + i - j]
+        # = rev[k, n - 1 - i + j] with rev = rel[:, :0:-1] copied, so both run
+        # at unit stride along a row.
+        hankel = window(self.com[:, :-1], n, axis=-1)
+        toeplitz = window(np.ascontiguousarray(self.rel[:, :0:-1]), n, axis=-1)[:, ::-1]
+        rows = min(n, _ROW_BLOCK)
+        product = np.empty((rows, n), dtype=np.complex128)
+        own = np.empty_like(product) if out is None else None
+        for i in range(0, n, rows):
+            block = own if out is None else out[i:i + rows]
+            np.multiply(hankel[0, i:i + rows], toeplitz[0, i:i + rows], out=block)
+            for k in range(1, self.com.shape[0]):
+                block += np.multiply(hankel[k, i:i + rows], toeplitz[k, i:i + rows], out=product)
+            yield block
 
     def metastate(self) -> MetaState:
         """The amplitude on the pair grid, gathered by exact index arithmetic.
@@ -322,17 +335,18 @@ class SeparatedState:
         """
         n = self.grid.n
         amps = np.empty((n, n), dtype=np.complex128)
-        for i in range(0, n, _ROW_BLOCK):
-            self._fill_rows(i, amps[i:i + _ROW_BLOCK])
+        for _ in self._fill_rows(amps):
+            pass
         return MetaState(grid=self.grid, amplitudes=amps, time=self.time, adopt=True)
 
     def norm(self) -> float:
         """The norm of metastate(), summed block by block with no n x n array."""
-        n = self.grid.n
-        block = np.empty((min(n, _ROW_BLOCK), n), dtype=np.complex128)
+        return self._norm
+
+    @cached_property
+    def _norm(self) -> float:
         total = 0.0
-        for i in range(0, n, _ROW_BLOCK):
-            self._fill_rows(i, block)
+        for block in self._fill_rows():
             total += float(np.vdot(block, block).real)
         return math.sqrt(total) * self.grid.dx
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.integrate import quad
 
 from .core import Grid1D, ParticleSpecies, UnitSystem, ValidationError
 
@@ -129,6 +128,8 @@ class PairPotential:
             raise ValidationError(f"speed must be finite and > 0, got {v!r}")
         if not (math.isfinite(T) and T > 0):
             raise ValidationError(f"flight time must be finite and > 0, got {T!r}")
+        from scipy.integrate import quad  # here, so only the oracle pays its ~18 MB and ~0.2 s import
+
         s_max = v * T / math.sqrt(2.0)
         closed = -(math.sqrt(2.0) / v) * self._antiderivative(s_max)
 

@@ -551,6 +551,18 @@ def test_blocked_gather_is_the_whole_array_formula_bitwise(n, terms):
     assert np.array_equal(sep.metastate().amplitudes, whole_array_gather(sep))
 
 
+@pytest.mark.parametrize("n", [8, 512])
+def test_cached_norms_are_the_uncached_sums_bitwise(n):
+    grid = Grid1D(-16.0, 16.0, n)
+    sep = random_factors(grid, 3, seed=n)
+    amps = whole_array_gather(sep)
+    blocks = sum(float(np.vdot(b, b).real) for b in np.split(amps, max(1, n // 32)))
+    meta = sep.metastate()
+    for _ in range(2):  # the first call sums, the second reads the cache
+        assert sep.norm() == math.sqrt(blocks) * grid.dx
+        assert meta.norm() == math.sqrt(float(np.vdot(amps, amps).real)) * grid.dx
+
+
 @pytest.mark.parametrize("case", sorted(AGREEMENT_CASES) + ["factors-outside-the-box"])
 def test_separated_norm_is_the_gathered_norm(case):
     grid = Grid1D(-16.0, 16.0, 256)

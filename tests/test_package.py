@@ -1,9 +1,13 @@
 """The package's export list, version and benchmark tracer stay in step with the code."""
 import ast
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from test_acceptance import SMALL_CONFIGS
 
 import gravtwin
 import gravtwin.cli
@@ -59,6 +63,41 @@ def test_benchmark_tracer_finds_every_target(monkeypatch, tmp_path):
     work = tracer.totals().work
     assert work["evolve"] == steps  # every halving in one stacked scan
     assert work["dyson"] == steps
+
+
+# Each command in one fresh interpreter, in order; after each, print whether
+# scipy.integrate is loaded.  main's own prints go to stderr.
+IMPORT_PROBE = """
+import json, sys
+sys.stdout = sys.stderr
+import gravtwin.cli
+seen = ["scipy.integrate" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    assert gravtwin.cli.main(argv) == 0, argv
+    seen.append("scipy.integrate" in sys.modules)
+print(json.dumps(seen), file=sys.__stdout__)
+"""
+
+
+def test_only_the_separating_action_loads_scipy_integrate(tmp_path):
+    # scipy.integrate drags in scipy.special, .optimize, .sparse and .spatial:
+    # ~18 MB and ~0.2 s of start-up that grid runs and the small verbs never use.
+    # This pytest process has it loaded already, so ask a fresh interpreter.
+    config = tmp_path / "crosscheck.cfg"
+    config.write_text(SMALL_CONFIGS["perturbative-crosscheck"])
+    commands = [
+        ["run", "--config", str(config), "--out", str(tmp_path / "run")],
+        ["potential", "--mass", "1.675e-27", "--radius", "1e-15", "--r-max", "1e-14",
+         "--out", str(tmp_path / "v.csv")],
+        ["version"],
+        ["cow", "--preset", "neutron", "--delta-sweep", "0:1e-33:8", "--out", str(tmp_path / "c.csv")],
+    ]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(commands)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert json.loads(done.stdout) == [False, False, False, False, True]
 
 
 # Imports their own module never reads.  perfbench/child.py wraps the first

@@ -171,6 +171,18 @@ def test_structural_checks_healthy_state():
     assert again["hermiticity"] == checks["hermiticity"] == rho.hermiticity
 
 
+def test_a_record_sums_its_norm_once(monkeypatch):
+    # partial_trace checks the norm and structural_checks reports it: one sum.
+    st = gaussian_product_metastate(grid_default(n=128), 0.0, 0.7, 0.5)
+    vdot = np.vdot
+    calls = []
+    monkeypatch.setattr(np, "vdot", lambda *args: calls.append(None) or vdot(*args))
+    checks = structural_checks(st)
+    assert len(calls) == 1
+    assert checks["norm"] == st.norm()
+    assert len(calls) == 1
+
+
 def test_report_position_density_is_diag():
     g = grid_default(n=128)
     st = gaussian_product_metastate(g, 1.0, 0.9, 0.0)

@@ -19,6 +19,7 @@ from gravtwin import (
     PairPotential,
     ParticleSpecies,
     PerturbativeRegimeWarning,
+    SeparatedState,
     UnitSystem,
     ValidationError,
     correction,
@@ -653,6 +654,28 @@ def test_one_perturbative_window(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         correction(two_arm(g_inside))
+
+
+def test_crosscheck_sums_the_start_norm_once(tmp_path, monkeypatch):
+    """The Dyson pass and the scan check one start: its norm is one pass over its rows.
+
+    Every other pass is a gather: the two Dyson channels, the start, and each
+    coupling at each later record point.
+    """
+    passes = []
+    fill_rows = SeparatedState._fill_rows
+
+    def counted(self, out=None):
+        passes.append("norm" if out is None else "gather")
+        return fill_rows(self, out)
+
+    monkeypatch.setattr(SeparatedState, "_fill_rows", counted)
+    cfg = parse_config("scenario = perturbative-crosscheck\ngrid.n = 128\nevolution.steps = 60\n")
+    run(cfg, tmp_path / "out")
+    steps, every = cfg.evolution.steps, cfg.evolution.record_every
+    couplings = cfg.values["dyson.halvings"] + 1
+    assert passes.count("norm") == 1
+    assert passes.count("gather") == 2 + 1 + couplings * -(-steps // every)
 
 
 def test_nan_invariant_reaches_summary(tmp_path, monkeypatch):
