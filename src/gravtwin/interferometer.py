@@ -22,6 +22,9 @@ import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
+import numpy as np
+from numpy.typing import NDArray
+
 from .core import ParticleSpecies, UnitSystem, ValidationError
 from .potential import PERTURBATIVE_WINDOW, PairPotential
 
@@ -115,8 +118,22 @@ def _actions_cached(
 def _actions(cfg: InterferometerConfig) -> tuple[float, float]:
     # The actions are cached per geometry (species, units, v, T): delta
     # plays no role in them.  A sweep takes them once for all its points
-    # (`_corrections`), and the cache serves later calls on the geometry.
+    # (`first_order_sweep`), and the cache serves later calls on the geometry.
     return _actions_cached(cfg.species, cfg.units, cfg.v, cfg.T)
+
+
+def _first_order_actions(cfg: InterferometerConfig) -> tuple[float, float]:
+    """The geometry's actions, with a warning when S0 / hbar leaves the perturbative window."""
+    hbar = cfg.units.hbar
+    s0, s1 = _actions(cfg)
+    if s0 / hbar >= PERTURBATIVE_WINDOW:  # s0 / hbar is PairPotential.action_over_hbar(T)
+        warnings.warn(
+            f"coupling action S0/hbar = {s0 / hbar:.3g} is not small; "
+            "the first-order result is outside its validity window",
+            PerturbativeRegimeWarning,
+            stacklevel=3,
+        )
+    return s0, s1
 
 
 def zeroth_order_probability(cfg: InterferometerConfig) -> float:
@@ -155,26 +172,6 @@ def _first_order(delta: float, hbar: float, s0: float, s1: float) -> CorrectionR
     )
 
 
-def _corrections(cfg: InterferometerConfig, deltas) -> list[CorrectionResult]:
-    """`correction(replace(cfg, delta=d))` for each float d, bit for bit, in one pass.
-
-    The actions and the perturbative-window check are taken once, and no
-    config is built per point, so each d must pass InterferometerConfig's
-    delta check; that check holds on an interval in |d|, so a sweep
-    whose two ends pass it passes it everywhere.
-    """
-    hbar = cfg.units.hbar
-    s0, s1 = _actions(cfg)
-    if s0 / hbar >= PERTURBATIVE_WINDOW:  # s0 / hbar is PairPotential.action_over_hbar(T)
-        warnings.warn(
-            f"coupling action S0/hbar = {s0 / hbar:.3g} is not small; "
-            "the first-order result is outside its validity window",
-            PerturbativeRegimeWarning,
-            stacklevel=3,
-        )
-    return [_first_order(d, hbar, s0, s1) for d in deltas]
-
-
 def correction(cfg: InterferometerConfig) -> CorrectionResult:
     """Closed-form first-order correction for the two-arm setup.
 
@@ -186,7 +183,51 @@ def correction(cfg: InterferometerConfig) -> CorrectionResult:
     with a real bracket, so Re(A a*) vanishes identically and the
     first-order probability shift is exactly zero.
     """
-    return _corrections(cfg, (cfg.delta,))[0]
+    s0, s1 = _first_order_actions(cfg)
+    return _first_order(cfg.delta, cfg.units.hbar, s0, s1)
+
+
+@dataclass(frozen=True)
+class FirstOrderSweep:
+    """`correction` over a sweep of deltas, as columns, one row per delta.
+
+    Row k holds bit for bit the fields of `correction` at the k-th delta;
+    the actions are one pair per geometry.  A and a are not computed.
+    """
+
+    prob_zeroth: NDArray[np.float64]
+    Aa_star: NDArray[np.complex128]
+    S_G0: float
+    S_G1: float
+
+    @property
+    def prob_correction(self) -> NDArray[np.float64]:
+        return 2.0 * self.Aa_star.real
+
+
+def first_order_sweep(cfg: InterferometerConfig, deltas: NDArray[np.float64]) -> FirstOrderSweep:
+    """`correction(replace(cfg, delta=d))` for each d of deltas, in one array pass.
+
+    The actions and the perturbative-window check are taken once, and no
+    config is built per point, so each d must pass InterferometerConfig's
+    delta check; that check holds on an interval in |d|, so a sweep
+    whose two ends pass it passes it everywhere.  Each array operation
+    is the scalar operation of `_first_order` on every element.
+    """
+    hbar = cfg.units.hbar
+    s0, s1 = _first_order_actions(cfg)
+    theta = 0.5 * deltas / hbar
+    big_delta = deltas / hbar
+    # c ** 2 on a Python float is libm pow, as in _first_order; numpy's
+    # square is c * c, which differs from it in the last bit.
+    prob0 = np.array([c**2 for c in np.cos(theta).tolist()])
+    if s0 == 0.0:
+        return FirstOrderSweep(prob0, np.zeros(len(deltas), dtype=np.complex128), 0.0, 0.0)
+    cos_delta = np.cos(big_delta)
+    bracket = 0.5 + cos_delta + 0.5 * np.cos(2.0 * big_delta) + (s1 / s0) * (1.0 + cos_delta)
+    # A complex scalar times a float array: numpy's full complex product,
+    # which is Python's complex-by-float product of _first_order.
+    return FirstOrderSweep(prob0, (-1j * s0 / (4.0 * hbar)) * bracket, s0, s1)
 
 
 # Enumeration conventions, fixed once:

@@ -14,6 +14,7 @@ disagreement is a hard error.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +83,19 @@ class PairPotential:
             raise ValidationError(
                 f"pair potential leaves the float range: G m^2 = {gm2!r}, 160 R^6 = {r6!r}"
             )
+        # The core branch multiplies 0.5 G m^2 by its polynomial, whose size
+        # runs from 80 R^5 (at r = 2R) to 192 R^5 (at r = 0), then divides by
+        # 160 R^6.  A product or quotient past the normal floats loses digits
+        # or becomes 0 or inf, and V comes out wrong without an error.
+        if self.units.G > 0:
+            half = 0.5 * gm2
+            core = (half * 80.0 * R**5, half * 192.0 * R**5)
+            steps = (half, *core, *(c / r6 for c in core))
+            if not all(sys.float_info.min <= x < math.inf for x in steps):
+                raise ValidationError(
+                    "pair potential leaves the float range: "
+                    f"0.5 G m^2 = {half!r}, 0.5 G m^2 (80 R^5, 192 R^5) = {core!r}, 160 R^6 = {r6!r}"
+                )
 
     def evaluate(self, r):
         """V(r); scalar in, scalar out; arrays are mapped elementwise."""

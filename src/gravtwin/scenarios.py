@@ -35,8 +35,8 @@ from .core import (
 from .core import gaussian_product_metastate, gaussian_wavepacket, product_metastate  # noqa: F401
 from .evolve import NumericalAbort, dyson_first_order, evolve, first_order_position_density
 from .interferometer import (
-    CorrectionResult,
-    _corrections,
+    FirstOrderSweep,
+    first_order_sweep,
     harmonic_coefficient_diff,
     pair_enumeration_oracle,
 )
@@ -320,44 +320,46 @@ def _run_perturbative(cfg: ScenarioConfig, emit: _Emitter) -> dict:
     }
 
 
-def _cow_sweep(cfg: ScenarioConfig) -> tuple[NDArray[np.float64], bytes, list[CorrectionResult]]:
-    """The deltas of cfg's sweep, the sweep as CSV, and the closed-form correction at each delta."""
+def _cow_sweep(cfg: ScenarioConfig) -> tuple[NDArray[np.float64], bytes, FirstOrderSweep]:
+    """The deltas of cfg's sweep, the sweep as CSV, and the closed-form correction over them as columns."""
     deltas = np.linspace(
         cfg.values["cow.delta_start"], cfg.values["cow.delta_stop"], cfg.values["cow.delta_points"]
     )
     # read() checked both ends against the geometry, so every delta between them passes.
-    results = _corrections(cfg.two_arm, map(float, deltas))
-    rows = (
-        (d, r.prob_zeroth, r.Aa_star.real, r.Aa_star.imag, r.S_G0, r.S_G1)
-        for d, r in zip(deltas, results)
-    )
-    return deltas, csv_bytes(_COW_COLUMNS, rows), results
+    sweep = first_order_sweep(cfg.two_arm, deltas)
+    # The bytes of csv_bytes(_COW_COLUMNS, rows), written column by column:
+    # the actions are the same on every row, so they become text once.
+    actions = f"{float(sweep.S_G0)!r},{float(sweep.S_G1)!r}"
+    columns = zip(deltas.tolist(), sweep.prob_zeroth.tolist(), sweep.Aa_star.real.tolist(), sweep.Aa_star.imag.tolist())
+    lines = [",".join(_COW_COLUMNS), *(f"{d!r},{p!r},{re!r},{im!r},{actions}" for d, p, re, im in columns)]
+    return deltas, ("\n".join(lines) + "\n").encode(), sweep
 
 
 def _run_cow_sweep(cfg: ScenarioConfig, emit: _Emitter) -> dict:
-    deltas, sweep, results = _cow_sweep(cfg)
-    emit.emit("cow.csv", sweep)
+    deltas, sweep_csv, sweep = _cow_sweep(cfg)
+    emit.emit("cow.csv", sweep_csv)
     # The enumeration at the sweep's deltas.  Its prob_zeroth traces the
     # hidden copy over both exit ports, so it matches the closed form's
     # cos^2(delta / 2 hbar) only if those ports sum to one.
     enum = [pair_enumeration_oracle(replace(cfg.two_arm, delta=float(d))) for d in deltas]
 
     diff = harmonic_coefficient_diff(cfg.two_arm)
-    res0 = results[0]  # the actions do not depend on delta
     return {
-        "max_abs_re_AaStar": max(abs(r.Aa_star.real) for r in results),
-        "max_abs_AaStar": max(abs(r.Aa_star) for r in results),
-        "max_abs_prob_correction": max(abs(r.prob_correction) for r in results),
+        "max_abs_re_AaStar": float(np.max(np.abs(sweep.Aa_star.real))),
+        "max_abs_AaStar": float(np.max(np.abs(sweep.Aa_star))),
+        "max_abs_prob_correction": float(np.max(np.abs(sweep.prob_correction))),
         "enum_max_abs_re_AaStar": max(abs(e.Aa_star.real) for e in enum),
-        "enum_max_abs_prob_zeroth_err": max(abs(e.prob_zeroth - r.prob_zeroth) for e, r in zip(enum, results)),
+        "enum_max_abs_prob_zeroth_err": max(
+            abs(e.prob_zeroth - p) for e, p in zip(enum, sweep.prob_zeroth.tolist())
+        ),
         "harmonic_coefficients": {
             "closed_form": diff.closed_form,
             "enumeration": diff.enumeration,
             "max_abs_difference": diff.max_abs_difference,
         },
-        "S_G0": res0.S_G0,
-        "S_G1": res0.S_G1,
-        "S_G0_over_hbar": res0.S_G0 / cfg.units.hbar,
+        "S_G0": sweep.S_G0,
+        "S_G1": sweep.S_G1,
+        "S_G0_over_hbar": sweep.S_G0 / cfg.units.hbar,
     }
 
 

@@ -64,6 +64,19 @@ def test_benchmark_tracer_finds_every_target(monkeypatch, tmp_path):
     assert work["evolve"] == steps  # every halving in one stacked scan
     assert work["dyson"] == steps
 
+    # One geometry-scan call: its geometry's actions are not cached yet, so
+    # the separating-action quadrature runs once, under the tracer's name.
+    gravtwin.interferometer._actions_cached.cache_clear()
+    tracer = child.make_tracer(gravtwin)
+    try:
+        tracer.install()
+        geo = inputs.op_geometries(1, 0)[0]
+        assert gravtwin.cli.main(inputs.cow_argv(geo, str(tmp_path / "g0.csv"))) == 0
+    finally:
+        tracer.restore()
+    assert gravtwin.cli.main is main
+    assert tracer.totals().calls["potential.quadrature"] == 1
+
 
 # Each command in one fresh interpreter, in order; after each, print whether
 # scipy.integrate is loaded.  main's own prints go to stderr.

@@ -3,13 +3,14 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gravtwin.cli as cli
+import gravtwin.interferometer as interferometer
 import gravtwin.scenarios as scenarios
 from gravtwin import (
     ConfigError,
@@ -538,11 +539,17 @@ OUT_OF_FLOAT_RANGE = [
     "potential --mass 1e200 --radius 1 --r-max 10 --samples 4",  # G m^2 overflows
     "potential --mass 1e-27 --radius 1e-60 --r-max 1e-59 --samples 4",  # R^6 underflows
     "potential --mass 1 --radius 1e60 --r-max 1 --samples 4",  # R^6 overflows
+    "potential --mass 1e-170 --radius 1 --r-max 10 --samples 4",  # G m^2 underflows to 0
+    "potential --mass 1e-120 --radius 1e-15 --r-max 1e-15 --samples 3",  # G m^2 R^5 underflows
+    "potential --mass 1e-150 --radius 10 --r-max 30 --samples 4",  # G m^2 is subnormal
+    "potential --mass 1.2e-145 --radius 1e50 --r-max 1e50 --samples 3",  # V underflows to 0
+    "potential --mass 1e150 --radius 1e10 --r-max 1e11 --samples 3",  # G m^2 R^5 overflows
     "cow --mass 1e200 --radius 1e-15 --L 1 --v 1 --delta-sweep 0:1e-33:4",
     "cow --mass 1e150 --radius 1 --L 1e10 --v 1e-10 --delta-sweep 0:1e-33:4",  # S0 overflows
     "cow --mass 1e150 --radius 1 --L 1 --v 1 --delta-sweep 0:1e-33:4",  # S0 / hbar overflows
     "cow --mass 1e-27 --radius 1e-60 --L 0.1 --v 100 --delta-sweep 0:1e-33:4",
     "cow --mass 1e-27 --radius 1e-15 --L 1e300 --v 1e300 --delta-sweep 0:1e-33:4",  # panel ratio
+    "cow --mass 1e-120 --radius 1e-15 --L 0.5 --v 100 --delta-sweep 0:1e-33:3",  # G m^2 R^5 underflows
     "run cow-sweep with cow.preset = custom and cow.mass = 1e200",
 ]
 
@@ -763,23 +770,22 @@ def geometry_config(geo: dict, points: int):
     )
 
 
-def result_bits(res):
-    """Each field of a CorrectionResult as the hex of its float parts: equal bits, not only equal values."""
-    bits = []
-    for f in fields(res):
-        value = getattr(res, f.name)
-        parts = (value.real, value.imag) if isinstance(value, complex) else (value,)
-        bits.append(tuple(float(part).hex() for part in parts))
-    return bits
-
-
 def assert_sweep_is_per_point_correction(cfg):
-    deltas, _, results = scenarios._cow_sweep(cfg)
-    assert len(deltas) == len(results) == cfg.values["cow.delta_points"]
+    """Every column of the sweep, and its CSV, equal per-point `correction` bit for bit."""
+    deltas, sweep_csv, sweep = scenarios._cow_sweep(cfg)
+    assert len(deltas) == len(sweep.prob_zeroth) == len(sweep.Aa_star) == cfg.values["cow.delta_points"]
+    rows = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", PerturbativeRegimeWarning)
-        for d, res in zip(deltas, results):
-            assert result_bits(res) == result_bits(correction(replace(cfg.two_arm, delta=float(d)))), d
+        for k, d in enumerate(deltas.tolist()):
+            ref = correction(replace(cfg.two_arm, delta=d))
+            got = (sweep.prob_zeroth[k], sweep.Aa_star[k].real, sweep.Aa_star[k].imag,
+                   sweep.prob_correction[k], sweep.S_G0, sweep.S_G1)
+            want = (ref.prob_zeroth, ref.Aa_star.real, ref.Aa_star.imag,
+                    ref.prob_correction, ref.S_G0, ref.S_G1)
+            assert [float(x).hex() for x in got] == [float(x).hex() for x in want], d
+            rows.append((d, *want[:3], ref.S_G0, ref.S_G1))
+    assert sweep_csv == scenarios.csv_bytes(scenarios._COW_COLUMNS, rows)
 
 
 def test_cow_sweep_is_per_point_correction_on_the_neutron_preset():
@@ -794,6 +800,27 @@ def test_cow_sweep_is_per_point_correction_on_a_geometry_scan_operation(bench):
     assert len(geometries) == 24
     for geo in geometries:
         assert_sweep_is_per_point_correction(geometry_config(geo, inputs.GEOMETRY_POINTS))
+
+
+def test_cow_sweep_is_per_point_correction_where_s0_underflows():
+    # T = 2e-308 s: S0 = |V(0)| T underflows to 0, and every correction column reads 0.
+    geo = {"mass": 1e-27, "radius": 1e-15, "L": 1e-300, "v": 1e8, "delta_stop": 1e-33}
+    cfg = geometry_config(geo, 16)
+    assert PairPotential(cfg.species, cfg.units).action_coincident(cfg.two_arm.T) == 0.0
+    assert_sweep_is_per_point_correction(cfg)
+    _, _, sweep = scenarios._cow_sweep(cfg)
+    assert sweep.S_G0 == sweep.S_G1 == 0.0 and not np.any(sweep.Aa_star)
+
+
+def test_cow_sweep_makes_no_per_point_call(monkeypatch):
+    # The sweep is one array pass; the per-point closed form is only the reference.
+    calls = []
+    first_order = interferometer._first_order
+    monkeypatch.setattr(interferometer, "_first_order", lambda *args: calls.append(args) or first_order(*args))
+    geo = {"mass": 1e-25, "radius": 1e-12, "L": 0.5, "v": 300.0, "delta_stop": 1e-33}
+    deltas, _, _ = scenarios._cow_sweep(geometry_config(geo, 64))
+    assert len(deltas) == 64
+    assert calls == []
 
 
 def test_cow_sweep_past_the_perturbative_window_warns_once():
