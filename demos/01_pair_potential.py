@@ -12,7 +12,7 @@ import shutil
 import tempfile
 from pathlib import Path
 
-from gravtwin import PairPotential, parse_config, run
+from gravtwin import parse_config, run
 
 cfg = parse_config("scenario = potential-scan\npotential.samples = 2001\n")
 with tempfile.TemporaryDirectory() as tmp:
@@ -28,8 +28,8 @@ print(f"monotone non-decreasing over [0, 10R]: {s['monotone_nondecreasing']}")
 print(f"r * V(r) at r = 10 R: {s['r_v_product_at_r_max']:+.6f}  (tail -1/2)")
 print("\nwrote pair_potential.csv (2001 samples); plot r vs V_G to see both branches")
 
-# the scan's species and units also give the action constants used downstream
-pair = PairPotential(cfg.species, cfg.units)
+# the scan's pair potential also gives the action constants used downstream
+pair = cfg.pairs[0]
 act = pair.action_integral_separating(v=1.0, T=1.0)
 print(f"\nseparating action S1(v=1, T=1): closed form {act.closed_form:.12f}")
 print(f"                                quadrature  {act.quadrature:.12f}")

@@ -17,11 +17,10 @@ from pathlib import Path
 
 from ._version import __version__
 from .config import ConfigError, load_config, read
-from .core import UnitSystem, ValidationError
+from .core import NEWTON_G_SI, ValidationError
 from .evolve import NumericalAbort
 # Unused here, but perfbench/child.py wraps correction under this name.
 from .interferometer import correction  # noqa: F401
-from .potential import PairPotential
 from .scenarios import _POTENTIAL_COLUMNS, _cow_sweep, _potential_table, csv_bytes, run
 
 # The flag that stands for each config key the verbs read.
@@ -60,7 +59,7 @@ def _build_parser() -> _Parser:
     p_cow = sub.add_parser("cow", help="two-arm fringe sweep with the pair correction")
     p_cow.add_argument(
         "--delta-sweep", required=True, metavar="START:STOP:N",
-        help="phase-difference action sweep, J s",
+        help="phase-difference action sweep, J s; a negative START needs the --delta-sweep=START:STOP:N form",
     )
     p_cow.add_argument("--preset", choices=["neutron"], help="built-in geometry")
     p_cow.add_argument("--mass", help="particle mass, kg (custom geometry)")
@@ -81,11 +80,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_potential(args) -> int:
-    raw = {"species.mass": args.mass, "species.radius": args.radius,
+    # V reads only G, m and R, so the scan at coupling G_SI tabulates the SI pair potential.
+    raw = {"species.mass": args.mass, "species.radius": args.radius, "coupling.g": repr(NEWTON_G_SI),
            "potential.r_max": args.r_max, "potential.samples": args.samples}
-    cfg = read("potential-scan", raw, _POTENTIAL_FLAGS)
-    pair = PairPotential(species=cfg.species, units=UnitSystem.si())
-    r, vals = _potential_table(pair, cfg.values["potential.r_max"], cfg.values["potential.samples"])
+    r, vals = _potential_table(read("potential-scan", raw, _POTENTIAL_FLAGS))
     Path(args.out).write_bytes(csv_bytes(_POTENTIAL_COLUMNS, zip(r, vals)))
     print(f"wrote {len(r)} samples to {args.out}")
     return 0

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -21,12 +21,15 @@ from .core import (
     HBAR_SI,
     Grid1D,
     ParticleSpecies,
+    SeparatedState,
     UnitSystem,
     ValidationError,
     check_packet_width,
+    separated_product_state,
 )
 from .evolve import EvolutionConfig
-from .interferometer import InterferometerConfig, cow_neutron_preset
+from .interferometer import InterferometerConfig, _actions, cow_neutron_preset
+from .potential import PairPotential
 
 _DELTA_STOP_DEFAULT = 4.0 * math.pi * HBAR_SI  # two fringe periods
 _FREE_CHECK_WIDTH = 0.5  # free-check packet.width default; its evolution.dt default follows from it
@@ -154,8 +157,10 @@ class ScenarioConfig:
     """A fully resolved, validated scenario description.
 
     values holds every key of the scenario's schema under its config name,
-    typed and in range; grid and evolution are built for the grid scenarios,
-    and two_arm, the geometry at delta = 0, for cow-sweep.
+    typed and in range; grid, evolution and the start state are built for
+    the grid scenarios, pairs (one pair potential per coupling of the run)
+    for every scenario but cow-sweep, and two_arm, the geometry at
+    delta = 0, for cow-sweep.
     """
 
     scenario: str
@@ -165,6 +170,8 @@ class ScenarioConfig:
     grid: Grid1D | None = None
     evolution: EvolutionConfig | None = None
     two_arm: InterferometerConfig | None = None
+    start: SeparatedState | None = field(default=None, compare=False)  # its == compares arrays
+    pairs: tuple[PairPotential, ...] = ()
 
     @property
     def resolved(self) -> dict[str, str]:
@@ -288,7 +295,11 @@ def _named(key: str):
 
 
 def _build(scenario: str, values: dict[str, object], name: Callable[[str], str]) -> ScenarioConfig:
-    """The config from typed, in-range values: the rules that tie keys together, each error led by name(key)."""
+    """The config from typed, in-range values: the rules that tie keys together, each error led by name(key).
+
+    The only builder of a run's physics objects, so a config that loads
+    is a run that can start.
+    """
     if scenario == "cow-sweep":
         if values["cow.preset"] == "neutron":
             # The four geometry keys may not fight the preset.
@@ -307,14 +318,23 @@ def _build(scenario: str, values: dict[str, object], name: Callable[[str], str])
         start, stop = values["cow.delta_start"], values["cow.delta_stop"]
         if not stop > start:
             raise ConfigError(f"{name('cow.delta_stop')}: the stop must exceed the start, got {start!r} to {stop!r}")
+        _actions(two_arm)  # actions past the float range fail here; the sweep's call is then a cache hit
         return ScenarioConfig(scenario, units, species, values, two_arm=two_arm)
 
     with _named(name("coupling.g")):
         units = UnitSystem.dimensionless(values.get("coupling.g", 0.0))
     # free-check runs at G = 0, where the radius has no effect: it stays the unit length.
     species = ParticleSpecies(mass=values["species.mass"], radius=values.get("species.radius", 1.0))
+    g = units.G
+    if scenario == "two-packet-decoherence":
+        couplings = sorted(set(values["scan.couplings"]) | {g})
+    elif scenario == "perturbative-crosscheck":
+        couplings = [g / 2**j for j in range(values["dyson.halvings"] + 1)]
+    else:
+        couplings = [g]
+    pairs = tuple(PairPotential(species=species, units=UnitSystem.dimensionless(c)) for c in couplings)
     if scenario == "potential-scan":
-        return ScenarioConfig(scenario, units, species, values)
+        return ScenarioConfig(scenario, units, species, values, pairs=pairs)
 
     x_min, x_max = values["grid.x_min"], values["grid.x_max"]
     with _named(name("grid.x_max" if x_max <= x_min else "grid.n")):
@@ -338,4 +358,9 @@ def _build(scenario: str, values: dict[str, object], name: Callable[[str], str])
         values["report.d_cut"] = 4.0 * width  # default band: four initial packet widths
     if "scan.couplings" in values:
         values["scan.couplings"] = tuple(sorted(values["scan.couplings"]))
-    return ScenarioConfig(scenario, units, species, values, grid, evolution)
+    # One packet at packet.center, or two packet.separation apart about the origin.
+    key = "packet.center" if scenario == "free-check" else "packet.separation"
+    centers = (values[key],) if scenario == "free-check" else (-0.5 * values[key], 0.5 * values[key])
+    with _named(name(key)):
+        start = separated_product_state(grid, centers, width, values["packet.momentum"])
+    return ScenarioConfig(scenario, units, species, values, grid, evolution, start=start, pairs=pairs)

@@ -23,14 +23,7 @@ from numpy.typing import NDArray
 
 from ._version import __version__
 from .config import ScenarioConfig
-from .core import (
-    Grid1D,
-    MetaState,
-    SeparatedState,
-    UnitSystem,
-    ValidationError,
-    separated_product_state,
-)
+from .core import Grid1D, MetaState, ValidationError
 # Unused here, but perfbench/child.py traces state preparation under these names.
 from .core import gaussian_product_metastate, gaussian_wavepacket, product_metastate  # noqa: F401
 from .evolve import NumericalAbort, dyson_first_order, evolve, first_order_position_density
@@ -40,7 +33,6 @@ from .interferometer import (
     harmonic_coefficient_diff,
     pair_enumeration_oracle,
 )
-from .potential import PairPotential
 from .reduction import DecoherenceReport, decoherence_report, partial_trace, structural_checks
 
 TIMESERIES_COLUMNS = ("t", "norm", "purity", "linear_entropy", "vn_entropy", "coherence_offdiag")
@@ -48,10 +40,10 @@ _COW_COLUMNS = ("delta", "prob_zeroth", "re_Aa_star", "im_Aa_star", "S_G0", "S_G
 _POTENTIAL_COLUMNS = ("r", "V_G")
 
 
-def _potential_table(pair: PairPotential, r_max: float, samples: int) -> tuple[NDArray, NDArray]:
-    """The rows of _POTENTIAL_COLUMNS: V at `samples` evenly spaced r on [0, r_max]."""
-    r = np.linspace(0.0, r_max, samples)
-    return r, pair.evaluate(r)
+def _potential_table(cfg: ScenarioConfig) -> tuple[NDArray, NDArray]:
+    """The rows of _POTENTIAL_COLUMNS: V of cfg's pair at potential.samples evenly spaced r on [0, potential.r_max]."""
+    r = np.linspace(0.0, cfg.values["potential.r_max"], cfg.values["potential.samples"])
+    return r, cfg.pairs[0].evaluate(r)
 
 
 @dataclass(frozen=True)
@@ -147,25 +139,17 @@ def _timeseries_rows(times, observed: Sequence[_Observation]):
 
 
 def _observed_runs(
-    cfg: ScenarioConfig, emit: _Emitter, state: SeparatedState, couplings: Sequence[float], names: Sequence[str]
+    cfg: ScenarioConfig, emit: _Emitter, names: Sequence[str]
 ) -> list[tuple[NDArray[np.float64], list[_Observation]]]:
-    """Times and full observations of state evolved at each coupling, in one scan; each time series goes to its CSV name."""
-    pairs = [PairPotential(species=cfg.species, units=UnitSystem.dimensionless(g)) for g in couplings]
+    """Times and full observations of cfg's start evolved under each of its pairs, in one scan; each time series goes to its CSV name."""
     observer = _full_observer(cfg.values["report.d_cut"])
     runs = []
-    for record, name in zip(evolve(state, pairs, cfg=cfg.evolution, observer=observer), names):
+    for record, name in zip(evolve(cfg.start, cfg.pairs, cfg=cfg.evolution, observer=observer), names):
         observed = record.reduced_observables
         assert observed is not None
         emit.emit(name, csv_bytes(TIMESERIES_COLUMNS, _timeseries_rows(record.times, observed)))
         runs.append((record.times, observed))
     return runs
-
-
-def _two_packet_state(cfg: ScenarioConfig) -> SeparatedState:
-    half = 0.5 * cfg.values["packet.separation"]
-    return separated_product_state(
-        cfg.grid, (-half, half), cfg.values["packet.width"], cfg.values["packet.momentum"]
-    )
 
 
 def _density_moments(grid: Grid1D, density: NDArray) -> tuple[float, float]:
@@ -179,8 +163,8 @@ def _density_moments(grid: Grid1D, density: NDArray) -> tuple[float, float]:
 
 
 def _run_potential_scan(cfg: ScenarioConfig, emit: _Emitter) -> dict:
-    pair = PairPotential(species=cfg.species, units=cfg.units)
-    r, vals = _potential_table(pair, cfg.values["potential.r_max"], cfg.values["potential.samples"])
+    [pair] = cfg.pairs
+    r, vals = _potential_table(cfg)
     emit.emit("potential.csv", csv_bytes(_POTENTIAL_COLUMNS, zip(r, vals)))
 
     G, m, R = cfg.units.G, cfg.species.mass, cfg.species.radius
@@ -206,8 +190,7 @@ def _run_free_check(cfg: ScenarioConfig, emit: _Emitter) -> dict:
     width = cfg.values["packet.width"]
     center = cfg.values["packet.center"]
     momentum = cfg.values["packet.momentum"]
-    state = separated_product_state(grid, (center,), width, momentum)
-    [(times, observed)] = _observed_runs(cfg, emit, state, (cfg.units.G,), ("timeseries.csv",))  # G = 0 here
+    [(times, observed)] = _observed_runs(cfg, emit, ("timeseries.csv",))  # one pair, at G = 0
 
     # Free-packet oracle: variance s^2(t) = s0^2 (1 + (hbar t / 2 m s0^2)^2),
     # center drifting at momentum / mass.
@@ -242,13 +225,11 @@ def _run_two_packet(cfg: ScenarioConfig, emit: _Emitter) -> dict:
     assert cfg.grid is not None and cfg.evolution is not None
     d_cut = cfg.values["report.d_cut"]
     g_demo = cfg.units.G
-    couplings = sorted(set(cfg.values["scan.couplings"]) | {g_demo})
-
-    state = _two_packet_state(cfg)
+    couplings = [p.units.G for p in cfg.pairs]
     per_g: dict[float, dict] = {}
     checks: list[dict[str, float]] = []
     names = [f"timeseries_g{g!r}.csv" for g in couplings]
-    for g, (times, observed) in zip(couplings, _observed_runs(cfg, emit, state, couplings, names)):
+    for g, (times, observed) in zip(couplings, _observed_runs(cfg, emit, names)):
         purities = [o.report.purity for o in observed]
         # Initial decay rate: purity lost per unit time over the first tenth of the run.
         t0 = float(times[0])
@@ -283,22 +264,19 @@ def _run_two_packet(cfg: ScenarioConfig, emit: _Emitter) -> dict:
 def _run_perturbative(cfg: ScenarioConfig, emit: _Emitter) -> dict:
     assert cfg.grid is not None and cfg.evolution is not None
     grid = cfg.grid
-    state = _two_packet_state(cfg)
-    g0 = cfg.units.G
-    couplings = [g0 / 2**j for j in range(cfg.values["dyson.halvings"] + 1)]
+    couplings = [p.units.G for p in cfg.pairs]  # g0 / 2^j, g0 = coupling.g
 
     # One Dyson pass at g0, first: its perturbative-window guard at g0 is the
     # cheapest way this scenario can fail.  psi0 does not depend on g and
     # psi1 is linear in it, so the first-order density at g0 / 2^j scales
     # psi1's term by 2^-j, exact in floating point.  Only the first-order
     # densities outlive the pass.
-    pair0 = PairPotential(species=cfg.species, units=cfg.units)
-    psi0, psi1 = dyson_first_order(state, pair0, cfg=cfg.evolution)
+    pair0 = cfg.pairs[0]
+    psi0, psi1 = dyson_first_order(cfg.start, pair0, cfg=cfg.evolution)
     approx_densities = first_order_position_density(psi0, psi1, [0.5**j for j in range(len(couplings))])
     del psi0, psi1
 
-    pairs = [PairPotential(species=cfg.species, units=UnitSystem.dimensionless(g)) for g in couplings]
-    records = evolve(state, pairs, cfg=cfg.evolution, observer=structural_checks)
+    records = evolve(cfg.start, cfg.pairs, cfg=cfg.evolution, observer=structural_checks)
     residuals = []
     checks: list[dict[str, float]] = []
     for record, approx_density in zip(records, approx_densities):

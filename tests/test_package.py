@@ -113,6 +113,17 @@ def test_only_the_separating_action_loads_scipy_integrate(tmp_path):
     assert json.loads(done.stdout) == [False, False, False, False, True]
 
 
+# The builders of a run's physics objects from outside numbers; config.read alone calls them.
+BUILDERS = {"PairPotential", "separated_product_state", "UnitSystem.si", "UnitSystem.dimensionless"}
+
+
+@pytest.mark.parametrize("module", ["scenarios.py", "cli.py"])
+def test_only_the_config_reader_builds_a_run(module):
+    tree = ast.parse((ROOT / "src" / "gravtwin" / module).read_text())
+    calls = [ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    assert [call for call in calls if call in BUILDERS] == []
+
+
 # Imports their own module never reads.  perfbench/child.py wraps the first
 # four where they are bound, and __version__ is the package's attribute;
 # ROADMAP item 1 retargets the tracer and empties this allowlist.
