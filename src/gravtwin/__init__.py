@@ -44,14 +44,10 @@ from .reduction import (
 )
 from .interferometer import (
     CorrectionResult,
-    HarmonicCoefficientDiff,
     InterferometerConfig,
-    PathPair,
     PerturbativeRegimeWarning,
     correction,
     cow_neutron_preset,
-    enumerate_path_pairs,
-    harmonic_coefficient_diff,
     pair_enumeration_oracle,
     zeroth_order_probability,
 )
@@ -73,9 +69,7 @@ __all__ = [
     "EvolutionConfig",
     "EvolutionRecord",
     "Grid1D",
-    "HarmonicCoefficientDiff",
     "InterferometerConfig",
-    "PathPair",
     "PerturbativeRegimeWarning",
     "MetaState",
     "NumericalAbort",
@@ -90,12 +84,10 @@ __all__ = [
     "cow_neutron_preset",
     "decoherence_report",
     "dyson_first_order",
-    "enumerate_path_pairs",
     "evolve",
     "first_order_position_density",
     "gaussian_product_metastate",
     "gaussian_wavepacket",
-    "harmonic_coefficient_diff",
     "pair_enumeration_oracle",
     "partial_trace",
     "position_probability",

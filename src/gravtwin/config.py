@@ -27,7 +27,7 @@ from .core import (
     check_packet_width,
     separated_product_state,
 )
-from .evolve import EvolutionConfig
+from .evolve import EvolutionConfig, check_first_order_window
 from .interferometer import InterferometerConfig, _actions, cow_neutron_preset
 from .potential import PairPotential
 
@@ -346,6 +346,9 @@ def _build(scenario: str, values: dict[str, object], name: Callable[[str], str])
     )
     with _named(name("evolution.dt")):
         evolution.check_stability(grid, species.mass, units.hbar)
+    if scenario == "perturbative-crosscheck":  # the halved couplings sit deeper in the window
+        with _named(name("coupling.g")):
+            check_first_order_window(pairs[0], evolution.dt * evolution.steps)
     width = values["packet.width"]
     with _named(name("packet.width")):
         check_packet_width(grid, width)
@@ -358,9 +361,15 @@ def _build(scenario: str, values: dict[str, object], name: Callable[[str], str])
         values["report.d_cut"] = 4.0 * width  # default band: four initial packet widths
     if "scan.couplings" in values:
         values["scan.couplings"] = tuple(sorted(values["scan.couplings"]))
+    momentum = values["packet.momentum"]
+    if not abs(momentum) < math.pi / grid.dx:
+        raise ConfigError(
+            f"{name('packet.momentum')}: {momentum!r} aliases on this grid; "
+            f"need |momentum| < pi / dx = {math.pi / grid.dx}"
+        )
     # One packet at packet.center, or two packet.separation apart about the origin.
     key = "packet.center" if scenario == "free-check" else "packet.separation"
     centers = (values[key],) if scenario == "free-check" else (-0.5 * values[key], 0.5 * values[key])
     with _named(name(key)):
-        start = separated_product_state(grid, centers, width, values["packet.momentum"])
+        start = separated_product_state(grid, centers, width, momentum)
     return ScenarioConfig(scenario, units, species, values, grid, evolution, start=start, pairs=pairs)

@@ -302,6 +302,16 @@ def evolve(
     ]
 
 
+def check_first_order_window(pair: PairPotential, duration: float) -> None:
+    """Refuse a coupling past the first-order window: S0 / hbar over duration must stay below PERTURBATIVE_WINDOW."""
+    action = pair.action_over_hbar(duration)
+    if action >= PERTURBATIVE_WINDOW:
+        raise ValidationError(
+            f"coupling too large for a first-order split: |V(0)| T / hbar = {action:.3g} "
+            f">= {PERTURBATIVE_WINDOW}"
+        )
+
+
 def dyson_first_order(
     state0: MetaState | SeparatedState,
     pair: PairPotential,
@@ -329,17 +339,12 @@ def dyson_first_order(
     splitting mismatch is left over.  psi1 is linear in the coupling, so
     scaling G by a power of two scales psi1 by the same power, bit for
     bit.  The channels share one stacked transform pair per step.
-    Requires a perturbatively small coupling: pair.action_over_hbar of
-    the run time below PERTURBATIVE_WINDOW, checked before the start is
-    touched.  A SeparatedState's start norm is checked on its factors, and
-    only the two channels are gathered, at the end.
+    Requires a perturbatively small coupling over the run time
+    (`check_first_order_window`), checked before the start is touched.
+    A SeparatedState's start norm is checked on its factors, and only the
+    two channels are gathered, at the end.
     """
-    action = pair.action_over_hbar(cfg.dt * cfg.steps)
-    if action >= PERTURBATIVE_WINDOW:
-        raise ValidationError(
-            f"coupling too large for a first-order split: |V(0)| T / hbar = {action:.3g} "
-            f">= {PERTURBATIVE_WINDOW}"
-        )
+    check_first_order_window(pair, cfg.dt * cfg.steps)
     free = PairPotential(pair.species, replace(pair.units, G=0.0))
     engine = _engine_for(state0, (free,), cfg)
     half_insert = (-0.5j * cfg.dt / pair.units.hbar) * engine.pair_samples(pair)

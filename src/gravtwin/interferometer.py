@@ -9,17 +9,17 @@ sqrt(2) v for half the flight and close again.
 
 Two independent routes to the first-order correction live here: the
 closed-form expression in `correction`, and a brute-force enumeration of
-the four arm pairs in `pair_enumeration_oracle`.  Their harmonic
-content in delta is compared coefficient by coefficient.  Both routes
-yield a purely imaginary amplitude product: the first-order fringe
-shift cancels identically.
+the four arm pairs in `pair_enumeration_oracle`.  The cow-sweep scenario
+compares their complex amplitude products point by point at every delta
+of its sweep.  Both routes yield a purely imaginary amplitude product:
+the first-order fringe shift cancels identically.
 """
 from __future__ import annotations
 
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -78,27 +78,6 @@ class CorrectionResult:
     prob_correction: float
     S_G0: float
     S_G1: float
-
-
-@dataclass(frozen=True)
-class PathPair:
-    physical_arm: str   # "I" or "II"
-    hidden_arm: str
-    kind: str           # "coincident" | "separating"
-
-
-def enumerate_path_pairs() -> tuple[PathPair, ...]:
-    """All four (physical arm, hidden arm) combinations, classified.
-
-    Same arm twice means the copies ride together (coincident action);
-    opposite arms separate and recombine (separating action).
-    """
-    arms = ("I", "II")
-    return tuple(
-        PathPair(p, h, "coincident" if p == h else "separating")
-        for p in arms
-        for h in arms
-    )
 
 
 @lru_cache(maxsize=64)
@@ -231,8 +210,8 @@ def first_order_sweep(cfg: InterferometerConfig, deltas: NDArray[np.float64]) ->
 
 
 # Enumeration conventions, fixed once:
-_ARM_AMPLITUDE = 0.5          # per arm, per copy (two 50/50 splits)
-_ARM_PHASE_SIGN = {"I": +1.0, "II": -1.0}   # symmetric gauge: +-delta/2 per copy
+_ARM_AMPLITUDE = 0.5             # per arm, per copy (two 50/50 splits)
+_ARM_PHASE_SIGNS = (+1.0, -1.0)  # arms I and II; symmetric gauge: +-delta/2 per copy
 
 
 def pair_enumeration_oracle(cfg: InterferometerConfig) -> CorrectionResult:
@@ -246,32 +225,29 @@ def pair_enumeration_oracle(cfg: InterferometerConfig) -> CorrectionResult:
     pairs; prob_zeroth additionally traces the hidden copy over both of
     its exit ports (the odd combination completes the norm).
 
-    The action constants are taken from the same closed forms as
-    `correction`; what this oracle independently exercises is the pair
-    combinatorics, the expansion, and the harmonic structure in delta.
+    The pairs run (I,I), (I,II), (II,I), (II,II).  The same arm twice
+    means the copies ride together (action S0); opposite arms separate
+    and recombine (action S1).  The action constants are taken from the
+    same closed forms as `correction`; what this oracle independently
+    exercises is the pair combinatorics, the expansion, and the
+    dependence on delta.
     """
     hbar = cfg.units.hbar
     theta = 0.5 * cfg.delta / hbar
     s0, s1 = _actions(cfg)
-    action = {"coincident": s0, "separating": s1}
 
     joint0 = 0j  # both copies at the port, coupling off
     joint1 = 0j  # same, one coupling insertion
-    for p in enumerate_path_pairs():
-        phase = cmath.exp(
-            1j * theta * (_ARM_PHASE_SIGN[p.physical_arm] + _ARM_PHASE_SIGN[p.hidden_arm])
-        )
-        weight = _ARM_AMPLITUDE * _ARM_AMPLITUDE * phase
-        joint0 += weight
-        joint1 += weight * (1j * action[p.kind] / hbar)
+    for physical in _ARM_PHASE_SIGNS:
+        for hidden in _ARM_PHASE_SIGNS:
+            weight = _ARM_AMPLITUDE * _ARM_AMPLITUDE * cmath.exp(1j * theta * (physical + hidden))
+            joint0 += weight
+            joint1 += weight * (1j * (s0 if physical == hidden else s1) / hbar)
 
-    port = sum(
-        _ARM_AMPLITUDE * cmath.exp(1j * theta * _ARM_PHASE_SIGN[arm]) for arm in ("I", "II")
-    )
+    port = sum(_ARM_AMPLITUDE * cmath.exp(1j * theta * sign) for sign in _ARM_PHASE_SIGNS)
     # Hidden copy's other exit port: the odd arm combination.
     port_odd = sum(
-        _ARM_PHASE_SIGN[arm] * 1j * _ARM_AMPLITUDE * cmath.exp(1j * theta * _ARM_PHASE_SIGN[arm])
-        for arm in ("I", "II")
+        sign * 1j * _ARM_AMPLITUDE * cmath.exp(1j * theta * sign) for sign in _ARM_PHASE_SIGNS
     )
     hidden_norm = abs(port) ** 2 + abs(port_odd) ** 2
 
@@ -285,53 +261,6 @@ def pair_enumeration_oracle(cfg: InterferometerConfig) -> CorrectionResult:
         S_G0=s0,
         S_G1=s1,
     )
-
-
-@dataclass(frozen=True)
-class HarmonicCoefficientDiff:
-    """Harmonic content of A a* in delta/hbar, from both routes.
-
-    Coefficients are reported in units of the overall -i S0 / 4 hbar
-    factor; keys are const, cos_delta, cos_2delta.
-    """
-
-    closed_form: dict[str, float]
-    enumeration: dict[str, float]
-    max_abs_difference: float
-
-
-def harmonic_coefficient_diff(cfg: InterferometerConfig) -> HarmonicCoefficientDiff:
-    """Structured comparison of the two routes' delta-harmonics.
-
-    The closed form states its coefficients directly; the enumeration's
-    are projected numerically from an 8-point uniform sweep of
-    delta/hbar over one period (exact for harmonics through cos 2x).
-    """
-    s0, s1 = _actions(cfg)
-    if s0 == 0.0:
-        zeros = {"const": 0.0, "cos_delta": 0.0, "cos_2delta": 0.0}
-        return HarmonicCoefficientDiff(zeros, dict(zeros), 0.0)
-    r = s1 / s0
-    stated = {"const": 0.5 + r, "cos_delta": 1.0 + r, "cos_2delta": 0.5}
-
-    hbar = cfg.units.hbar
-    n = 8
-    samples = []
-    for j in range(n):
-        big_delta = 2.0 * math.pi * j / n
-        res = pair_enumeration_oracle(replace(cfg, delta=big_delta * hbar))
-        samples.append(res.Aa_star.imag / (-s0 / (4.0 * hbar)))
-    projected = {
-        "const": sum(samples) / n,
-        "cos_delta": 2.0 / n * sum(
-            f * math.cos(2.0 * math.pi * j / n) for j, f in enumerate(samples)
-        ),
-        "cos_2delta": 2.0 / n * sum(
-            f * math.cos(4.0 * math.pi * j / n) for j, f in enumerate(samples)
-        ),
-    }
-    worst = max(abs(stated[k] - projected[k]) for k in stated)
-    return HarmonicCoefficientDiff(stated, projected, worst)
 
 
 def cow_neutron_preset() -> InterferometerConfig:

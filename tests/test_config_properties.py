@@ -20,7 +20,8 @@ positive = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False, allow_infin
 counts = st.integers(min_value=1, max_value=10**6)
 
 # Keys that may take any value from the strategy without violating a
-# cross-key constraint (CFL, packet resolution, overlap, preset geometry).
+# cross-key constraint (CFL, packet resolution, overlap, momentum against
+# the grid, first-order window, preset geometry).
 OVERRIDES = {
     "potential-scan": {
         "coupling.g": positive,
@@ -42,9 +43,11 @@ OVERRIDES = {
         "report.d_cut": positive,
     },
     "perturbative-crosscheck": {
-        "evolution.steps": counts,
+        # S0 / hbar = 0.6 g dt steps stays under the first-order window 0.1
+        # at the default dt = 5e-4: at most 0.6 * 0.3 * 5e-4 * 1000 = 0.09.
+        "evolution.steps": st.integers(min_value=1, max_value=1000),
         "evolution.record_every": counts,
-        "coupling.g": positive,
+        "coupling.g": st.floats(min_value=1e-3, max_value=0.3),
         "dyson.halvings": st.integers(min_value=1, max_value=6),
     },
     "cow-sweep": {

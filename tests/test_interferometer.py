@@ -13,8 +13,6 @@ from gravtwin import (
     ValidationError,
     correction,
     cow_neutron_preset,
-    enumerate_path_pairs,
-    harmonic_coefficient_diff,
     pair_enumeration_oracle,
     zeroth_order_probability,
 )
@@ -35,19 +33,6 @@ def dimless_config(delta, g=0.05, L=1.25, v=1.0):
         L=L, v=v, delta=delta,
         units=UnitSystem.dimensionless(g=g),
     )
-
-
-def test_path_pair_enumeration():
-    pairs = enumerate_path_pairs()
-    assert len(pairs) == 4
-    kinds = [p.kind for p in pairs]
-    assert kinds.count("coincident") == 2
-    assert kinds.count("separating") == 2
-    for p in pairs:
-        if p.kind == "coincident":
-            assert p.physical_arm == p.hidden_arm
-        else:
-            assert p.physical_arm != p.hidden_arm
 
 
 @pytest.mark.parametrize(
@@ -143,17 +128,6 @@ def test_oracle_matches_at_neutron_scale():
     res = correction(cfg)
     orc = pair_enumeration_oracle(cfg)
     np.testing.assert_allclose(orc.Aa_star.imag, res.Aa_star.imag, rtol=1e-13)
-
-
-def test_harmonic_coefficients_agree():
-    diff = harmonic_coefficient_diff(dimless_config(0.0))
-    assert diff.max_abs_difference < 1e-12
-    # closed-form coefficient pattern: (1/2 + r, 1 + r, 1/2) with r = S1/S0
-    r = diff.closed_form["cos_2delta"]
-    np.testing.assert_allclose(r, 0.5, atol=1e-14)
-    np.testing.assert_allclose(
-        diff.closed_form["cos_delta"] - diff.closed_form["const"], 0.5, atol=1e-14
-    )
 
 
 def test_neutron_preset_geometry():

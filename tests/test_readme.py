@@ -1,8 +1,11 @@
+import json
 import re
 import shlex
 from pathlib import Path
 
-from gravtwin import cli
+from test_acceptance import SMALL_CONFIGS
+
+from gravtwin import cli, parse_config, run
 from gravtwin.config import SCHEMAS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -49,3 +52,24 @@ def test_readme_error_message_is_verbatim(tmp_path, monkeypatch, capsys):
     assert cli.main(argv) == 1
     assert capsys.readouterr().err == documented + "\n"
     assert not list(tmp_path.iterdir())
+
+
+def _keys(obj) -> set[str]:
+    """The keys of every JSON object in obj, at any depth."""
+    if isinstance(obj, dict):
+        return set(obj).union(*map(_keys, obj.values()))
+    if isinstance(obj, list):
+        return set().union(*map(_keys, obj))
+    return set()
+
+
+def test_readme_demo_table_names_real_summary_keys(tmp_path):
+    section = README.read_text().split("\n## Demos\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.strip("|").split("|") for line in section.splitlines() if line.startswith("| `0")]
+    assert len(rows) == 5
+    for _, sizes, prints, _ in rows:
+        scenario = re.search(r"`([^`]+)`", sizes).group(1)
+        run(parse_config(SMALL_CONFIGS[scenario]), tmp_path / scenario)
+        keys = _keys(json.loads((tmp_path / scenario / "summary.json").read_text()))
+        named = {t for t in re.findall(r"`([^`]+)`", prints) if "_" in t and "." not in t}
+        assert named and named <= keys, (scenario, named - keys)

@@ -533,6 +533,15 @@ def test_cow_port_check_holds_at_any_delta(tmp_path, stop, points):
     assert run(cfg, tmp_path / "run").status == "ok"
     summary = json.loads((tmp_path / "run" / "summary.json").read_text())
     assert summary["enum_max_abs_prob_zeroth_err"] <= 1e-15
+    assert summary["enum_max_abs_AaStar_err"] <= 1e-14 * summary["max_abs_AaStar"]
+
+
+@pytest.mark.parametrize("text", ["scenario = cow-sweep\n", SMALL_CONFIGS["cow-sweep"]], ids=["default", "small"])
+def test_cow_routes_agree_at_every_delta(tmp_path, text):
+    # The enumeration's complex A a* meets the closed form's at each delta of the sweep.
+    assert run(parse_config(text), tmp_path / "run").status == "ok"
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert summary["enum_max_abs_AaStar_err"] <= 1e-14 * summary["max_abs_AaStar"]
 
 
 # In-range species values whose pair potential or actions leave the float range.
@@ -573,6 +582,14 @@ REJECTED_AT_LOAD = {
     "cow-mass-overflows": ("scenario = cow-sweep\ncow.preset = custom\ncow.mass = 1e200\n", _FLOAT_RANGE),
     "halved-coupling-subnormal": (
         "scenario = perturbative-crosscheck\ngrid.n = 128\ncoupling.g = 3e-306\ndyson.halvings = 6\n", _FLOAT_RANGE,
+    ),
+    # pi / dx = 40.2 at the default n = 512 on [-20, 20]; 1e308 overflowed p x.
+    "momentum-aliases": ("scenario = free-check\npacket.momentum = 1e5\n", "packet.momentum: "),
+    "momentum-overflows": ("scenario = free-check\npacket.momentum = 1e308\n", "packet.momentum: "),
+    # S0 / hbar = 0.6 g T = 0.15 at g = 1 over the default 500 steps of 5e-4.
+    "crosscheck-past-first-order": (
+        "scenario = perturbative-crosscheck\ngrid.n = 128\ncoupling.g = 1.0\n",
+        "coupling.g: coupling too large for a first-order split",
     ),
 }
 
@@ -667,7 +684,7 @@ def test_cli_too_large_to_allocate(tmp_path, capsys):
 
 
 def test_one_perturbative_window(tmp_path):
-    """dyson_first_order, correction and the crosscheck summary read one S0 / hbar."""
+    """dyson_first_order, correction, the crosscheck summary and load read one S0 / hbar."""
     dt, steps = 5e-4, 60
     T = dt * steps
     species = ParticleSpecies(mass=1.0, radius=1.0)
@@ -689,10 +706,12 @@ def test_one_perturbative_window(tmp_path):
     summary = json.loads((tmp_path / "inside" / "summary.json").read_text())
     assert summary["action_estimate_over_hbar"] == pair(g_inside).action_over_hbar(T) < PERTURBATIVE_WINDOW
 
-    edge = parse_config(text + f"coupling.g = {g_edge!r}\n")
-    state = separated_product_state(edge.grid, (-2.0, 2.0), 0.7, 0.0)
+    with pytest.raises(ConfigError, match="^coupling.g: coupling too large for a first-order split"):
+        parse_config(text + f"coupling.g = {g_edge!r}\n")
+    # The edge differs from inside only in its coupling.
+    state = separated_product_state(inside.grid, (-2.0, 2.0), 0.7, 0.0)
     with pytest.raises(ValidationError, match="first-order"):
-        dyson_first_order(state, pair(g_edge), edge.evolution)
+        dyson_first_order(state, pair(g_edge), inside.evolution)
 
     def two_arm(g):
         # T = 2 L / v is exactly the run time above.
@@ -755,18 +774,6 @@ def test_nan_invariant_reaches_summary(tmp_path, monkeypatch):
     assert len(calls) == 5  # one dense spectrum per record, the Cholesky bound refused
     summary = json.loads((tmp_path / "run" / "summary.json").read_text())
     assert math.isnan(summary["min_eigenvalue"])
-
-
-def test_crosscheck_refuses_coupling_before_any_full_run(tmp_path, monkeypatch):
-    # S0 / hbar = 0.6 g T = 0.15 at g = 1 over the default 500 steps of 5e-4.
-    cfg = parse_config("scenario = perturbative-crosscheck\ngrid.n = 128\ncoupling.g = 1.0\n")
-    calls = []
-    evolve = scenarios.evolve
-    monkeypatch.setattr(scenarios, "evolve", lambda *args, **kwargs: calls.append(None) or evolve(*args, **kwargs))
-    with pytest.raises(ValidationError, match="coupling too large for a first-order split"):
-        run(cfg, tmp_path / "run")
-    assert calls == []
-    assert read_manifest(tmp_path / "run")["status"] == "error"
 
 
 # The same sweep as `gravtwin cow` flags and as cow-sweep config lines.
