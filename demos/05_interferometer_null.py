@@ -26,7 +26,7 @@ print(f"S_G1 = {s['S_G1']:.6e} J s")
 print("\n  delta/hbar   prob_zeroth    Re(A a*)      Im(A a*)")
 for row in rows[::100] + rows[-1:]:
     delta, prob, re, im = (float(v) for v in row.split(",")[:4])
-    print(f"  {delta / cfg.units.hbar:9.4f}   {prob:.8f}   {re:+.3e}   {im:+.6e}")
+    print(f"  {delta / cfg.two_arm.units.hbar:9.4f}   {prob:.8f}   {re:+.3e}   {im:+.6e}")
 
 print(f"\n{len(rows)}-point sweep: max |Re(A a*)| = {s['max_abs_re_AaStar']:.1e}, "
       f"max |prob correction| = {s['max_abs_prob_correction']:.1e}")

@@ -84,7 +84,7 @@ def _cmd_potential(args) -> int:
     raw = {"species.mass": args.mass, "species.radius": args.radius, "coupling.g": repr(NEWTON_G_SI),
            "potential.r_max": args.r_max, "potential.samples": args.samples}
     r, vals = _potential_table(read("potential-scan", raw, _POTENTIAL_FLAGS))
-    Path(args.out).write_bytes(csv_bytes(_POTENTIAL_COLUMNS, zip(r, vals)))
+    Path(args.out).write_bytes(csv_bytes(_POTENTIAL_COLUMNS, (r, vals)))
     print(f"wrote {len(r)} samples to {args.out}")
     return 0
 

@@ -25,6 +25,7 @@ from .core import (
     UnitSystem,
     ValidationError,
     check_packet_width,
+    free_packet_doubling_time,
     separated_product_state,
 )
 from .evolve import EvolutionConfig, check_first_order_window
@@ -114,8 +115,8 @@ SCHEMAS: dict[str, dict[str, _Key]] = {
         "packet.width": _positive(_FREE_CHECK_WIDTH),
         "packet.center": _Key("float", 0.0),
         "packet.momentum": _Key("float", 0.0),
-        # dt = doubling time / steps; doubling time is sqrt(3) 2 m w^2 / hbar.
-        **_evolution_keys(math.sqrt(3.0) * 2.0 * _FREE_CHECK_WIDTH**2 / 1000.0, 1000, 100),
+        # dt = doubling time / steps, at the default width and m = hbar = 1.
+        **_evolution_keys(free_packet_doubling_time(_FREE_CHECK_WIDTH, 1.0, 1.0) / 1000.0, 1000, 100),
         "report.d_cut": _positive(None),
     },
     "two-packet-decoherence": {
@@ -157,17 +158,15 @@ class ScenarioConfig:
     """A fully resolved, validated scenario description.
 
     values holds every key of the scenario's schema under its config name,
-    typed and in range; grid, evolution and the start state are built for
-    the grid scenarios, pairs (one pair potential per coupling of the run)
-    for every scenario but cow-sweep, and two_arm, the geometry at
-    delta = 0, for cow-sweep.
+    typed and in range.  The physics objects are built from them and hold
+    each fact once: evolution and the start state (whose grid is the run's
+    grid) for the grid scenarios, pairs (one pair potential per coupling of
+    the run, each with the species and units) for every scenario but
+    cow-sweep, and two_arm, the geometry at delta = 0, for cow-sweep.
     """
 
     scenario: str
-    units: UnitSystem
-    species: ParticleSpecies
     values: dict[str, object]
-    grid: Grid1D | None = None
     evolution: EvolutionConfig | None = None
     two_arm: InterferometerConfig | None = None
     start: SeparatedState | None = field(default=None, compare=False)  # its == compares arrays
@@ -279,7 +278,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
     # let the OSError propagate so the CLI maps it to its own exit code.
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
+        text = p.read_text(encoding="utf-8-sig")  # a leading byte-order mark is not part of the first key
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{p}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     return parse_config(text, source=str(p))
@@ -310,8 +309,7 @@ def _build(scenario: str, values: dict[str, object], name: Callable[[str], str])
                         "set cow.preset = custom to override the geometry"
                     )
         species = ParticleSpecies(mass=values["cow.mass"], radius=values["cow.radius"])
-        units = UnitSystem.si()
-        two_arm = InterferometerConfig(species=species, L=values["cow.L"], v=values["cow.v"], delta=0.0, units=units)
+        two_arm = InterferometerConfig(species, L=values["cow.L"], v=values["cow.v"], delta=0.0, units=UnitSystem.si())
         for key in ("cow.delta_start", "cow.delta_stop"):  # each sweep end must suit the geometry
             with _named(name(key)):
                 replace(two_arm, delta=values[key])
@@ -319,7 +317,7 @@ def _build(scenario: str, values: dict[str, object], name: Callable[[str], str])
         if not stop > start:
             raise ConfigError(f"{name('cow.delta_stop')}: the stop must exceed the start, got {start!r} to {stop!r}")
         _actions(two_arm)  # actions past the float range fail here; the sweep's call is then a cache hit
-        return ScenarioConfig(scenario, units, species, values, two_arm=two_arm)
+        return ScenarioConfig(scenario, values, two_arm=two_arm)
 
     with _named(name("coupling.g")):
         units = UnitSystem.dimensionless(values.get("coupling.g", 0.0))
@@ -334,7 +332,7 @@ def _build(scenario: str, values: dict[str, object], name: Callable[[str], str])
         couplings = [g]
     pairs = tuple(PairPotential(species=species, units=UnitSystem.dimensionless(c)) for c in couplings)
     if scenario == "potential-scan":
-        return ScenarioConfig(scenario, units, species, values, pairs=pairs)
+        return ScenarioConfig(scenario, values, pairs=pairs)
 
     x_min, x_max = values["grid.x_min"], values["grid.x_max"]
     with _named(name("grid.x_max" if x_max <= x_min else "grid.n")):
@@ -372,4 +370,4 @@ def _build(scenario: str, values: dict[str, object], name: Callable[[str], str])
     centers = (values[key],) if scenario == "free-check" else (-0.5 * values[key], 0.5 * values[key])
     with _named(name(key)):
         start = separated_product_state(grid, centers, width, momentum)
-    return ScenarioConfig(scenario, units, species, values, grid, evolution, start=start, pairs=pairs)
+    return ScenarioConfig(scenario, values, evolution, start=start, pairs=pairs)

@@ -1,8 +1,9 @@
 """Units, species, grids, and the two-coordinate state container.
 
-Everything downstream works in one of two unit modes.  SI mode keeps
-values in SI and carries the CODATA constants.  Dimensionless mode sets
-hbar = 1; the single surviving knob is the coupling g = G m^3 l / hbar^2.
+A UnitSystem is the pair (hbar, G) every computation reads.  The SI one
+carries the CODATA constants; the dimensionless one sets hbar = 1, and
+its single knob is the coupling g = G m^3 l / hbar^2.  Every run that
+evolves a field uses hbar = 1.
 """
 from __future__ import annotations
 
@@ -55,42 +56,37 @@ def max_skew(m: NDArray, conjugate: bool = False) -> float:
 
 @dataclass(frozen=True)
 class UnitSystem:
-    """Unit mode and the two constants every computation reads.
+    """The two constants every computation reads.
 
-    In SI mode code numbers are SI numbers.  Dimensionless mode sets
-    hbar = 1, and G is the coupling g = G m^3 l / hbar^2 of a species of
-    mass m and radius l taken as the units of mass and length.
+    In si() code numbers are SI numbers.  dimensionless(g) sets hbar = 1,
+    and G is the coupling g = G m^3 l / hbar^2 of a species of mass m and
+    radius l taken as the units of mass and length.
     """
 
     hbar: float
     G: float
-    mode: str = "SI"
 
     def __post_init__(self) -> None:
-        if self.mode not in ("SI", "dimensionless"):
-            raise ValidationError(f"unknown unit mode {self.mode!r}")
         if not (math.isfinite(self.hbar) and self.hbar > 0):
             raise ValidationError(f"hbar must be finite and > 0, got {self.hbar!r}")
         if not (math.isfinite(self.G) and self.G >= 0):
             raise ValidationError(f"G must be finite and >= 0, got {self.G!r}")
-        if self.mode == "dimensionless" and self.hbar != 1.0:
-            raise ValidationError("dimensionless mode requires hbar = 1")
 
     @classmethod
     def si(cls) -> "UnitSystem":
-        return cls(hbar=HBAR_SI, G=NEWTON_G_SI, mode="SI")
+        return cls(hbar=HBAR_SI, G=NEWTON_G_SI)
 
     @classmethod
     def dimensionless(cls, g: float) -> "UnitSystem":
         """hbar = 1 and coupling g = G m^3 l / hbar^2 (species mass m and radius l as units)."""
-        return cls(hbar=1.0, G=g, mode="dimensionless")
+        return cls(hbar=1.0, G=g)
 
 
 @dataclass(frozen=True)
 class ParticleSpecies:
     """Homogeneous sphere: all matter content there is."""
 
-    mass: float  # kg in SI mode, code units otherwise
+    mass: float  # kg with UnitSystem.si(), code units otherwise
     radius: float
 
     def __post_init__(self) -> None:
@@ -197,6 +193,16 @@ def check_packet_width(grid: Grid1D, width: float) -> None:
         raise ValidationError(
             f"width {width!r} under-resolved: need width > 2 dx = {2.0 * grid.dx}"
         )
+
+
+def free_packet_variance(width: float, mass: float, hbar: float, t: float) -> float:
+    """Position variance at time t of a free Gaussian packet of width s at t = 0: s^2 (1 + (hbar t / 2 m s^2)^2)."""
+    return width**2 * (1.0 + (hbar * t / (2.0 * mass * width**2)) ** 2)
+
+
+def free_packet_doubling_time(width: float, mass: float, hbar: float) -> float:
+    """When a free Gaussian packet of width s at t = 0 has width 2 s: sqrt(3) 2 m s^2 / hbar."""
+    return math.sqrt(3.0) * 2.0 * mass * width**2 / hbar
 
 
 def _normalized_packet(

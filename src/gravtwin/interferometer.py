@@ -68,16 +68,20 @@ class CorrectionResult:
     port factor, which makes A conj(a) equal to the product of the joint
     both-copies-at-the-port amplitudes order by order.  prob_zeroth
     traces the hidden copy over both of its exit ports (unit norm), so
-    it equals |A|^2, not |A_joint|^2.
+    it equals |A|^2, not |A_joint|^2.  The first-order probability shift
+    prob_correction is 2 Re(A a*), derived, as in FirstOrderSweep.
     """
 
     A: complex
     a: complex
     Aa_star: complex
     prob_zeroth: float
-    prob_correction: float
     S_G0: float
     S_G1: float
+
+    @property
+    def prob_correction(self) -> float:
+        return 2.0 * self.Aa_star.real
 
 
 @lru_cache(maxsize=64)
@@ -128,10 +132,7 @@ def _first_order(delta: float, hbar: float, s0: float, s1: float) -> CorrectionR
     amp0 = complex(cos_theta)
     prob0 = cos_theta**2  # zeroth_order_probability, same operations
     if s0 == 0.0:
-        return CorrectionResult(
-            A=amp0, a=0j, Aa_star=0j,
-            prob_zeroth=prob0, prob_correction=0.0, S_G0=0.0, S_G1=0.0,
-        )
+        return CorrectionResult(A=amp0, a=0j, Aa_star=0j, prob_zeroth=prob0, S_G0=0.0, S_G1=0.0)
     bracket = (
         0.5
         + math.cos(big_delta)
@@ -145,7 +146,6 @@ def _first_order(delta: float, hbar: float, s0: float, s1: float) -> CorrectionR
         a=amp1,
         Aa_star=aa_star,
         prob_zeroth=prob0,
-        prob_correction=2.0 * aa_star.real,
         S_G0=s0,
         S_G1=s1,
     )
@@ -257,7 +257,6 @@ def pair_enumeration_oracle(cfg: InterferometerConfig) -> CorrectionResult:
         a=port * joint1,
         Aa_star=aa_star,
         prob_zeroth=abs(port) ** 2 * hidden_norm,
-        prob_correction=2.0 * aa_star.real,
         S_G0=s0,
         S_G1=s1,
     )

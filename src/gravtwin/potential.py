@@ -65,7 +65,7 @@ class PairPotential:
     """Pair potential bound to one species and one unit system.
 
     The species fields must be expressed in the same unit system as
-    `units` (code units in dimensionless mode, SI otherwise).
+    `units` (code units with UnitSystem.dimensionless, SI with UnitSystem.si).
     """
 
     species: ParticleSpecies

@@ -160,10 +160,13 @@ def position_probability(rho: ReducedDensityMatrix) -> NDArray[np.float64]:
 @dataclass(frozen=True)
 class DecoherenceReport:
     purity: float
-    linear_entropy: float
     von_neumann_entropy: float
     coherence_offdiag: float
     position_density: NDArray[np.float64] = field(repr=False)
+
+    @property
+    def linear_entropy(self) -> float:
+        return 1.0 - self.purity
 
 
 @lru_cache(maxsize=8)
@@ -198,7 +201,6 @@ def decoherence_report(rho: ReducedDensityMatrix, d_cut: float) -> DecoherenceRe
     coherence = float(np.sum(magnitude[_far_mask(rho.grid, d_cut)])) * dx * dx
     return DecoherenceReport(
         purity=purity,
-        linear_entropy=1.0 - purity,
         von_neumann_entropy=vn,
         coherence_offdiag=coherence,
         position_density=position_probability(rho),

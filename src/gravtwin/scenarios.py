@@ -23,10 +23,10 @@ from numpy.typing import NDArray
 
 from ._version import __version__
 from .config import ScenarioConfig
-from .core import Grid1D, MetaState, ValidationError
+from .core import Grid1D, MetaState, ValidationError, free_packet_doubling_time, free_packet_variance
 # Unused here, but perfbench/child.py traces state preparation under these names.
 from .core import gaussian_product_metastate, gaussian_wavepacket, product_metastate  # noqa: F401
-from .evolve import NumericalAbort, dyson_first_order, evolve, first_order_position_density
+from .evolve import NumericalAbort, dyson_first_order, evolve, fft_workers, first_order_position_density
 from .interferometer import FirstOrderSweep, first_order_sweep, pair_enumeration_oracle
 from .reduction import DecoherenceReport, decoherence_report, partial_trace, structural_checks
 
@@ -36,7 +36,7 @@ _POTENTIAL_COLUMNS = ("r", "V_G")
 
 
 def _potential_table(cfg: ScenarioConfig) -> tuple[NDArray, NDArray]:
-    """The rows of _POTENTIAL_COLUMNS: V of cfg's pair at potential.samples evenly spaced r on [0, potential.r_max]."""
+    """The columns of _POTENTIAL_COLUMNS: V of cfg's pair at potential.samples evenly spaced r on [0, potential.r_max]."""
     r = np.linspace(0.0, cfg.values["potential.r_max"], cfg.values["potential.samples"])
     return r, cfg.pairs[0].evaluate(r)
 
@@ -68,11 +68,17 @@ class _Emitter:
         }
 
 
-def csv_bytes(header: tuple[str, ...], rows) -> bytes:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(float(v)) for v in row))
-    return ("\n".join(lines) + "\n").encode()
+def csv_bytes(header: tuple[str, ...], columns: Sequence) -> bytes:
+    """The CSV of columns under header, one row per entry, each value as repr(float).
+
+    A column is a sequence of numbers, or one number that repeats on every
+    row; its text is made once.  The sequences, at least one, must have one
+    length.
+    """
+    arrays = [np.asarray(c, dtype=np.float64) for c in columns]
+    rows = next(len(a) for a in arrays if a.ndim)
+    texts = [list(map(repr, a.tolist())) if a.ndim else [repr(float(a))] * rows for a in arrays]
+    return ("\n".join([",".join(header), *map(",".join, zip(*texts, strict=True))]) + "\n").encode()
 
 
 def _json_bytes(obj) -> bytes:
@@ -87,12 +93,12 @@ def _npy_bytes(arr: NDArray) -> bytes:
 
 def _emit_field(emit: _Emitter, cfg: ScenarioConfig, stem: str, name: str, time: float, arr: NDArray) -> None:
     """Write field `name` on the run's grid as stem.npy plus its JSON sidecar stem.json."""
-    grid = cfg.grid
+    grid = cfg.start.grid
     emit.emit(f"{stem}.npy", _npy_bytes(arr))
     emit.emit(f"{stem}.json", _json_bytes({
         "field": name,
         "time": time,
-        "units_mode": cfg.units.mode,
+        "units_mode": "dimensionless",  # every run that writes a field has hbar = 1
         "dtype": str(arr.dtype),
         "shape": list(arr.shape),
         "grid": {"x_min": grid.x_min, "x_max": grid.x_max, "n": grid.n, "dx": grid.dx},
@@ -127,12 +133,6 @@ def _invariant_summary(checks: Sequence[Mapping[str, float]]) -> dict[str, float
     }
 
 
-def _timeseries_rows(times, observed: Sequence[_Observation]):
-    for t, o in zip(times, observed):
-        r = o.report
-        yield (t, o.checks["norm"], r.purity, r.linear_entropy, r.von_neumann_entropy, r.coherence_offdiag)
-
-
 def _observed_runs(
     cfg: ScenarioConfig, emit: _Emitter, names: Sequence[str]
 ) -> list[tuple[NDArray[np.float64], list[_Observation]]]:
@@ -142,7 +142,9 @@ def _observed_runs(
     for record, name in zip(evolve(cfg.start, cfg.pairs, cfg=cfg.evolution, observer=observer), names):
         observed = record.reduced_observables
         assert observed is not None
-        emit.emit(name, csv_bytes(TIMESERIES_COLUMNS, _timeseries_rows(record.times, observed)))
+        rows = [(o.checks["norm"], o.report.purity, o.report.linear_entropy, o.report.von_neumann_entropy,
+                 o.report.coherence_offdiag) for o in observed]
+        emit.emit(name, csv_bytes(TIMESERIES_COLUMNS, (record.times, *zip(*rows))))
         runs.append((record.times, observed))
     return runs
 
@@ -160,9 +162,9 @@ def _density_moments(grid: Grid1D, density: NDArray) -> tuple[float, float]:
 def _run_potential_scan(cfg: ScenarioConfig, emit: _Emitter) -> dict:
     [pair] = cfg.pairs
     r, vals = _potential_table(cfg)
-    emit.emit("potential.csv", csv_bytes(_POTENTIAL_COLUMNS, zip(r, vals)))
+    emit.emit("potential.csv", csv_bytes(_POTENTIAL_COLUMNS, (r, vals)))
 
-    G, m, R = cfg.units.G, cfg.species.mass, cfg.species.radius
+    G, m, R = pair.units.G, pair.species.mass, pair.species.radius
     scale = G * m * m / R
     v0 = pair.evaluate(0.0)
     v_contact = pair.evaluate(2.0 * R)
@@ -180,24 +182,24 @@ def _run_potential_scan(cfg: ScenarioConfig, emit: _Emitter) -> dict:
 
 
 def _run_free_check(cfg: ScenarioConfig, emit: _Emitter) -> dict:
-    assert cfg.grid is not None and cfg.evolution is not None
-    grid = cfg.grid
+    assert cfg.start is not None and cfg.evolution is not None
+    grid = cfg.start.grid
+    [pair] = cfg.pairs  # at G = 0
     width = cfg.values["packet.width"]
     center = cfg.values["packet.center"]
     momentum = cfg.values["packet.momentum"]
-    [(times, observed)] = _observed_runs(cfg, emit, ("timeseries.csv",))  # one pair, at G = 0
+    [(times, observed)] = _observed_runs(cfg, emit, ("timeseries.csv",))
 
-    # Free-packet oracle: variance s^2(t) = s0^2 (1 + (hbar t / 2 m s0^2)^2),
-    # center drifting at momentum / mass.
-    hbar, mass = cfg.units.hbar, cfg.species.mass
+    # Free-packet oracle: the spreading law, center drifting at momentum / mass.
+    hbar, mass = pair.units.hbar, pair.species.mass
     worst_var = 0.0
     for t, o in zip(times, observed):
         _, var = _density_moments(grid, o.report.position_density)
-        exact = width**2 * (1.0 + (hbar * t / (2.0 * mass * width**2)) ** 2)
+        exact = free_packet_variance(width, mass, hbar, t)
         worst_var = max(worst_var, abs(var - exact) / exact)
 
     t_end = float(times[-1])
-    sig2 = width**2 * (1.0 + (hbar * t_end / (2.0 * mass * width**2)) ** 2)
+    sig2 = free_packet_variance(width, mass, hbar, t_end)
     mu = center + momentum / mass * t_end
     exact_density = np.exp(-((grid.x - mu) ** 2) / (2.0 * sig2)) / math.sqrt(2.0 * math.pi * sig2)
     final_density = observed[-1].report.position_density
@@ -205,21 +207,19 @@ def _run_free_check(cfg: ScenarioConfig, emit: _Emitter) -> dict:
 
     _emit_field(emit, cfg, "density_final", "position_density", t_end, final_density)
 
-    doubling_time = math.sqrt(3.0) * 2.0 * mass * width**2 / hbar
     return {
         "spreading_sigma2_max_rel_err": worst_var,
         "density_final_max_rel_err": density_err,
         "max_purity_deviation": max(abs(o.report.purity - 1.0) for o in observed),
-        "doubling_time": doubling_time,
+        "doubling_time": free_packet_doubling_time(width, mass, hbar),
         "final_time": t_end,
         **_invariant_summary([o.checks for o in observed]),
     }
 
 
 def _run_two_packet(cfg: ScenarioConfig, emit: _Emitter) -> dict:
-    assert cfg.grid is not None and cfg.evolution is not None
     d_cut = cfg.values["report.d_cut"]
-    g_demo = cfg.units.G
+    g_demo = cfg.values["coupling.g"]
     couplings = [p.units.G for p in cfg.pairs]
     per_g: dict[float, dict] = {}
     checks: list[dict[str, float]] = []
@@ -257,8 +257,8 @@ def _run_two_packet(cfg: ScenarioConfig, emit: _Emitter) -> dict:
 
 
 def _run_perturbative(cfg: ScenarioConfig, emit: _Emitter) -> dict:
-    assert cfg.grid is not None and cfg.evolution is not None
-    grid = cfg.grid
+    assert cfg.start is not None and cfg.evolution is not None
+    grid = cfg.start.grid
     couplings = [p.units.G for p in cfg.pairs]  # g0 / 2^j, g0 = coupling.g
 
     # One Dyson pass at g0, first: its perturbative-window guard at g0 is the
@@ -281,7 +281,7 @@ def _run_perturbative(cfg: ScenarioConfig, emit: _Emitter) -> dict:
         checks.extend(record.reduced_observables)
 
     ratios = [a / b for a, b in zip(residuals, residuals[1:])]
-    emit.emit("residuals.csv", csv_bytes(("g", "max_residual"), zip(couplings, residuals)))
+    emit.emit("residuals.csv", csv_bytes(("g", "max_residual"), (couplings, residuals)))
     return {
         "couplings": couplings,
         "residuals": residuals,
@@ -300,12 +300,8 @@ def _cow_sweep(cfg: ScenarioConfig) -> tuple[NDArray[np.float64], bytes, FirstOr
     )
     # read() checked both ends against the geometry, so every delta between them passes.
     sweep = first_order_sweep(cfg.two_arm, deltas)
-    # The bytes of csv_bytes(_COW_COLUMNS, rows), written column by column:
-    # the actions are the same on every row, so they become text once.
-    actions = f"{float(sweep.S_G0)!r},{float(sweep.S_G1)!r}"
-    columns = zip(deltas.tolist(), sweep.prob_zeroth.tolist(), sweep.Aa_star.real.tolist(), sweep.Aa_star.imag.tolist())
-    lines = [",".join(_COW_COLUMNS), *(f"{d!r},{p!r},{re!r},{im!r},{actions}" for d, p, re, im in columns)]
-    return deltas, ("\n".join(lines) + "\n").encode(), sweep
+    columns = (deltas, sweep.prob_zeroth, sweep.Aa_star.real, sweep.Aa_star.imag, sweep.S_G0, sweep.S_G1)
+    return deltas, csv_bytes(_COW_COLUMNS, columns), sweep
 
 
 def _run_cow_sweep(cfg: ScenarioConfig, emit: _Emitter) -> dict:
@@ -326,7 +322,7 @@ def _run_cow_sweep(cfg: ScenarioConfig, emit: _Emitter) -> dict:
         ),
         "S_G0": sweep.S_G0,
         "S_G1": sweep.S_G1,
-        "S_G0_over_hbar": sweep.S_G0 / cfg.units.hbar,
+        "S_G0_over_hbar": sweep.S_G0 / cfg.two_arm.units.hbar,
     }
 
 
@@ -350,9 +346,10 @@ def run(cfg: ScenarioConfig, out_dir: str | Path) -> RunManifest:
     (numerical-abort for NumericalAbort, error otherwise) and diagnostic
     explain it; the original exception is then re-raised for the caller's
     exit handling.  The output directory must be missing or empty, so that
-    the manifest covers every file in it; a non-empty one is rejected
-    before any write.
+    the manifest covers every file in it; a non-empty one, or a
+    GRAVTWIN_WORKERS the engines would refuse, is rejected before any write.
     """
+    fft_workers()
     out = Path(out_dir)
     if out.is_dir() and any(out.iterdir()):
         raise ValidationError(f"output directory {str(out)!r} is not empty; use a fresh one")

@@ -21,12 +21,6 @@ def test_si_constants():
     u = UnitSystem.si()
     assert u.hbar == HBAR
     assert u.G == 6.67430e-11
-    assert u.mode == "SI"
-
-
-def test_dimensionless_requires_unit_hbar():
-    with pytest.raises(ValidationError):
-        UnitSystem(hbar=2.0, G=1.0, mode="dimensionless")
 
 
 def test_species_validation():

@@ -135,7 +135,7 @@ def test_neutron_preset_geometry():
     assert cfg.L == 0.10
     assert cfg.v == 2.2e3
     assert cfg.delta == 0.0
-    assert cfg.units.mode == "SI"
+    assert cfg.units == UnitSystem.si()
     np.testing.assert_allclose(cfg.T, 2.0 * 0.10 / 2.2e3, rtol=1e-15)
     # deep perturbative regime: coupling action orders of magnitude under hbar
     res = correction(cfg)

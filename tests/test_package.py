@@ -113,6 +113,27 @@ def test_only_the_separating_action_loads_scipy_integrate(tmp_path):
     assert json.loads(done.stdout) == [False, False, False, False, True]
 
 
+FAILING_PROPERTY = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_never_holds(x):
+    assert x < 0
+"""
+
+
+def test_a_failing_property_test_shows_its_example(tmp_path):
+    # Under the repo's warning filters the hypothesis plugin still reports the example.
+    (tmp_path / "test_property.py").write_text(FAILING_PROPERTY)
+    command = [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"), "-p", "no:cacheprovider",
+               "test_property.py"]
+    done = subprocess.run(command, cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 1, done.stdout[-2000:]
+    assert "Falsifying example" in done.stdout
+    assert "INTERNALERROR" not in done.stdout + done.stderr
+
+
 # The builders of a run's physics objects from outside numbers; config.read alone calls them.
 BUILDERS = {"PairPotential", "separated_product_state", "UnitSystem.si", "UnitSystem.dimensionless"}
 

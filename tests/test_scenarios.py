@@ -1,3 +1,4 @@
+import codecs
 import hashlib
 import json
 import math
@@ -180,7 +181,7 @@ def test_preset_conflict_rejected():
 def test_custom_cow_overrides_geometry():
     # under preset = custom the remaining keys keep their defaults
     cfg = parse_config("scenario = cow-sweep\ncow.preset = custom\ncow.mass = 1e-26\n")
-    assert cfg.species.mass == 1e-26
+    assert cfg.two_arm.species.mass == 1e-26
     assert cfg.values["cow.L"] == 0.10
 
 
@@ -379,6 +380,38 @@ def test_cli_run_non_utf8_config(tmp_path, capsys):
     assert err.startswith("invalid input: ")
     assert str(cfg_file) in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("scenario", SMALL_CONFIGS)
+def test_config_with_a_byte_order_mark_loads(tmp_path, scenario):
+    # Each text's first line is its scenario key, which the mark would otherwise hide.
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text(SMALL_CONFIGS[scenario], encoding="utf-8")
+    marked.write_text(SMALL_CONFIGS[scenario], encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(codecs.BOM_UTF8)
+    assert load_config(marked).resolved == load_config(plain).resolved
+
+
+@pytest.mark.parametrize("workers", ["0", "abc"])
+def test_cli_run_refuses_bad_workers_before_the_run_directory(tmp_path, monkeypatch, capsys, workers):
+    cfg_file = tmp_path / "free.cfg"
+    cfg_file.write_text(FREE_SMALL)
+    monkeypatch.setenv("GRAVTWIN_WORKERS", workers)
+    out = tmp_path / "d"
+    assert cli.main(["run", "--config", str(cfg_file), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: GRAVTWIN_WORKERS ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_csv_bytes_pins_its_format():
+    # Each value is repr(float); a scalar column repeats on every row.
+    columns = (np.array([-0.0, np.nan, np.inf]), 0.1, [1, -np.inf, 2.5e-300])
+    assert scenarios.csv_bytes(("a", "b", "c"), columns) == (
+        b"a,b,c\n-0.0,0.1,1.0\nnan,0.1,-inf\ninf,0.1,2.5e-300\n"
+    )
+    with pytest.raises(ValueError):
+        scenarios.csv_bytes(("a", "b"), ([1.0], [1.0, 2.0]))
 
 
 def test_cli_run_missing_config(tmp_path):
@@ -709,7 +742,7 @@ def test_one_perturbative_window(tmp_path):
     with pytest.raises(ConfigError, match="^coupling.g: coupling too large for a first-order split"):
         parse_config(text + f"coupling.g = {g_edge!r}\n")
     # The edge differs from inside only in its coupling.
-    state = separated_product_state(inside.grid, (-2.0, 2.0), 0.7, 0.0)
+    state = separated_product_state(inside.start.grid, (-2.0, 2.0), 0.7, 0.0)
     with pytest.raises(ValidationError, match="first-order"):
         dyson_first_order(state, pair(g_edge), inside.evolution)
 
@@ -824,7 +857,7 @@ def assert_sweep_is_per_point_correction(cfg):
     """Every column of the sweep, and its CSV, equal per-point `correction` bit for bit."""
     deltas, sweep_csv, sweep = scenarios._cow_sweep(cfg)
     assert len(deltas) == len(sweep.prob_zeroth) == len(sweep.Aa_star) == cfg.values["cow.delta_points"]
-    rows = []
+    refs = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", PerturbativeRegimeWarning)
         for k, d in enumerate(deltas.tolist()):
@@ -834,8 +867,11 @@ def assert_sweep_is_per_point_correction(cfg):
             want = (ref.prob_zeroth, ref.Aa_star.real, ref.Aa_star.imag,
                     ref.prob_correction, ref.S_G0, ref.S_G1)
             assert [float(x).hex() for x in got] == [float(x).hex() for x in want], d
-            rows.append((d, *want[:3], ref.S_G0, ref.S_G1))
-    assert sweep_csv == scenarios.csv_bytes(scenarios._COW_COLUMNS, rows)
+            refs.append(ref)
+    # Every column per point, the actions too: the sweep writes those as scalars.
+    columns = (deltas, [r.prob_zeroth for r in refs], [r.Aa_star.real for r in refs],
+               [r.Aa_star.imag for r in refs], [r.S_G0 for r in refs], [r.S_G1 for r in refs])
+    assert sweep_csv == scenarios.csv_bytes(scenarios._COW_COLUMNS, columns)
 
 
 def test_cow_sweep_is_per_point_correction_on_the_neutron_preset():
@@ -856,7 +892,7 @@ def test_cow_sweep_is_per_point_correction_where_s0_underflows():
     # T = 2e-308 s: S0 = |V(0)| T underflows to 0, and every correction column reads 0.
     geo = {"mass": 1e-27, "radius": 1e-15, "L": 1e-300, "v": 1e8, "delta_stop": 1e-33}
     cfg = geometry_config(geo, 16)
-    assert PairPotential(cfg.species, cfg.units).action_coincident(cfg.two_arm.T) == 0.0
+    assert PairPotential(cfg.two_arm.species, cfg.two_arm.units).action_coincident(cfg.two_arm.T) == 0.0
     assert_sweep_is_per_point_correction(cfg)
     _, _, sweep = scenarios._cow_sweep(cfg)
     assert sweep.S_G0 == sweep.S_G1 == 0.0 and not np.any(sweep.Aa_star)
@@ -877,7 +913,7 @@ def test_cow_sweep_past_the_perturbative_window_warns_once():
     # S0 / hbar = 0.6 G m^2 T / (R hbar), about 80 here.
     geo = {"mass": 1e-15, "radius": 1e-9, "L": 1.0, "v": 10.0, "delta_stop": 1e-33}
     cfg = geometry_config(geo, 16)
-    assert PairPotential(cfg.species, cfg.units).action_over_hbar(cfg.two_arm.T) >= PERTURBATIVE_WINDOW
+    assert PairPotential(cfg.two_arm.species, cfg.two_arm.units).action_over_hbar(cfg.two_arm.T) >= PERTURBATIVE_WINDOW
     with pytest.warns(PerturbativeRegimeWarning) as caught:
         assert_sweep_is_per_point_correction(cfg)
     assert len(caught) == 1
