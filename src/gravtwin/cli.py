@@ -5,8 +5,10 @@ failure.  Argument errors and sizes too large to allocate count as
 validation.  Each numeric flag is read as the scenario config key it
 stands for, by the reader of config files, and its errors start with the
 flag.
-The only environment knob is GRAVTWIN_WORKERS (transform worker
-threads); it never changes results, only speed.
+The only environment knob is GRAVTWIN_WORKERS (worker threads of the
+pair-grid engine's 2D transforms; the separated engine that every
+scenario runs transforms with numpy.fft and ignores it); it never changes
+results, only speed.
 """
 from __future__ import annotations
 

@@ -11,6 +11,7 @@ value is read; only the rules that tie keys together are checked after.
 from __future__ import annotations
 
 import math
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -64,6 +65,45 @@ class _Key:
 # numpy fails before trying to allocate; below it a count too large for
 # memory fails as a MemoryError, which the CLI reports as invalid input.
 _MAX_COUNT = sys.maxsize // 16
+
+
+def _memory_bytes() -> float:
+    """The memory a run may hold, in bytes; unbounded where nothing can tell.
+
+    The machine's physical memory (os.sysconf), or the memory limit of the
+    cgroup at the root of /sys/fs/cgroup (v2 or v1) where one is set and
+    lower, as inside a container.  Memory other processes already hold is
+    not subtracted, so a count just under this figure may still fail in
+    the run.
+    """
+    limits = []
+    try:
+        limits.append(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name here
+        pass
+    for limit in ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory/memory.limit_in_bytes"):
+        try:
+            limits.append(int(Path(limit).read_text()))
+        except (OSError, ValueError):  # no such file, or "max"
+            pass
+    return float(min(limits, default=math.inf))
+
+
+_MEMORY = _memory_bytes()
+# What a run holds per sample at its peak, the CSV text included, from
+# tracemalloc over 1e4-4e5 samples: a neutron cow sweep 626-629 B per delta
+# point, a potential scan 301-303 B per r sample (at two radii and r_max).
+_COW_BYTES_PER_POINT = 626
+_POTENTIAL_BYTES_PER_SAMPLE = 302
+
+
+def _check_fits(key: str, count: int, each: int, what: str) -> None:
+    """Refuse `count` items of `each` bytes that would not fit in _MEMORY, naming key."""
+    if count * each > _MEMORY:
+        raise ConfigError(
+            f"{key}: {count} {what} need about {count * each:.3g} bytes, "
+            f"more than the {_MEMORY:.3g} bytes of memory here"
+        )
 
 
 def _positive(default: float) -> _Key:
@@ -316,6 +356,7 @@ def _build(scenario: str, values: dict[str, object], name: Callable[[str], str])
         start, stop = values["cow.delta_start"], values["cow.delta_stop"]
         if not stop > start:
             raise ConfigError(f"{name('cow.delta_stop')}: the stop must exceed the start, got {start!r} to {stop!r}")
+        _check_fits(name("cow.delta_points"), values["cow.delta_points"], _COW_BYTES_PER_POINT, "points")
         _actions(two_arm)  # actions past the float range fail here; the sweep's call is then a cache hit
         return ScenarioConfig(scenario, values, two_arm=two_arm)
 
@@ -332,6 +373,7 @@ def _build(scenario: str, values: dict[str, object], name: Callable[[str], str])
         couplings = [g]
     pairs = tuple(PairPotential(species=species, units=UnitSystem.dimensionless(c)) for c in couplings)
     if scenario == "potential-scan":
+        _check_fits(name("potential.samples"), values["potential.samples"], _POTENTIAL_BYTES_PER_SAMPLE, "samples")
         return ScenarioConfig(scenario, values, pairs=pairs)
 
     x_min, x_max = values["grid.x_min"], values["grid.x_max"]

@@ -14,7 +14,9 @@ A SeparatedState is stepped as its centre of mass X = (x + x~)/2 (mass
 2m, free) and separation r = x - x~ (mass m/2, feeling V_pair(|r|)): V
 above depends on r alone, so the step factorises into one 1D step per
 coordinate.  The pair amplitude is gathered only at record points that
-something reads.
+something reads.  The separated engine, which every scenario runs,
+transforms with numpy.fft; the pair-grid engine uses scipy.fft, threaded
+by GRAVTWIN_WORKERS, and imports it when it is built.
 
 evolve runs the step at the couplings of a scan of pairs, one channel per
 coupling in one stack; on the separated engine the couplings share the
@@ -25,13 +27,13 @@ side for perturbative cross-checks.
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Sequence
 
 import numpy as np
-import scipy.fft as sfft
 from numpy.typing import NDArray
 
 from .core import (
@@ -56,10 +58,11 @@ class NumericalAbort(RuntimeError):
 
 
 def fft_workers() -> int:
-    """Worker-thread count for the transforms, from the environment.
+    """Worker-thread count for the pair-grid engine's 2D transforms, from the environment.
 
     Results are bit-identical for any worker count: threading only
-    splits independent transform lines, never reorders a reduction.
+    splits independent transform lines, never reorders a reduction.  The
+    separated engine transforms with numpy.fft and does not read it.
     """
     raw = os.environ.get(WORKERS_ENV, "1")
     try:
@@ -118,7 +121,11 @@ class _GridEngine:
     """
 
     def __init__(self, state: MetaState, pairs: Sequence[PairPotential], cfg: EvolutionConfig) -> None:
-        self.workers = fft_workers()
+        import scipy.fft  # only this engine needs it, and no scenario builds it
+
+        workers = fft_workers()
+        self.fft = functools.partial(scipy.fft.fft2, workers=workers, overwrite_x=True)
+        self.ifft = functools.partial(scipy.fft.ifft2, workers=workers, overwrite_x=True)
         self.state = state
         hbar, mass = pairs[0].units.hbar, pairs[0].species.mass
         k2 = state.grid.momentum_grid**2
@@ -143,9 +150,9 @@ class _GridEngine:
 
     def step(self, z: NDArray[np.complex128]) -> NDArray[np.complex128]:
         z *= self.half_v
-        z = sfft.fft2(z, workers=self.workers, overwrite_x=True)
+        z = self.fft(z)
         z *= self.full_k
-        z = sfft.ifft2(z, workers=self.workers, overwrite_x=True)
+        z = self.ifft(z)
         z *= self.half_v
         return z
 
@@ -164,13 +171,12 @@ class _SeparatedEngine:
     """
 
     def __init__(self, state: SeparatedState, pairs: Sequence[PairPotential], cfg: EvolutionConfig) -> None:
-        self.workers = fft_workers()
         self.state = state
         grid, hbar, mass = state.grid, pairs[0].units.hbar, pairs[0].species.mass
         samples = np.array([self.pair_samples(pair) for pair in pairs])[:, None, :]
         self.half_rel = np.exp(-0.5j * cfg.dt / hbar * samples)
-        k_com = 2.0 * math.pi * sfft.fftfreq(2 * grid.n, d=0.5 * grid.dx)
-        k_rel = 2.0 * math.pi * sfft.fftfreq(2 * grid.n, d=grid.dx)
+        k_com = 2.0 * math.pi * np.fft.fftfreq(2 * grid.n, d=0.5 * grid.dx)
+        k_rel = 2.0 * math.pi * np.fft.fftfreq(2 * grid.n, d=grid.dx)
         self.kin_com = np.exp(-0.5j * hbar * cfg.dt / (2.0 * mass) * k_com**2)
         self.kin_rel = np.exp(-0.5j * hbar * cfg.dt / (0.5 * mass) * k_rel**2)
 
@@ -191,10 +197,10 @@ class _SeparatedEngine:
 
     def step(self, z: NDArray[np.complex128]) -> NDArray[np.complex128]:
         z[1:] *= self.half_rel
-        z = sfft.fft(z, workers=self.workers, overwrite_x=True)
+        z = np.fft.fft(z, out=z)
         z[0] *= self.kin_com
         z[1:] *= self.kin_rel
-        z = sfft.ifft(z, workers=self.workers, overwrite_x=True)
+        z = np.fft.ifft(z, out=z)
         z[1:] *= self.half_rel
         return z
 

@@ -347,7 +347,7 @@ def run(cfg: ScenarioConfig, out_dir: str | Path) -> RunManifest:
     explain it; the original exception is then re-raised for the caller's
     exit handling.  The output directory must be missing or empty, so that
     the manifest covers every file in it; a non-empty one, or a
-    GRAVTWIN_WORKERS the engines would refuse, is rejected before any write.
+    GRAVTWIN_WORKERS that fft_workers refuses, is rejected before any write.
     """
     fft_workers()
     out = Path(out_dir)

@@ -23,7 +23,7 @@ from gravtwin import (
     product_metastate,
     separated_product_state,
 )
-from gravtwin.evolve import _GridEngine, _SeparatedEngine
+from gravtwin.evolve import WORKERS_ENV, _GridEngine, _SeparatedEngine
 
 UNIT = ParticleSpecies(mass=1.0, radius=1.0)
 
@@ -205,6 +205,23 @@ def test_scan_equals_one_pair_runs_bitwise(engine):
         assert len(rec.reduced_observables) == len(alone.reduced_observables) == 4
         for seen, seen_alone in zip(rec.reduced_observables, alone.reduced_observables):
             assert np.array_equal(seen, seen_alone)
+
+
+# --- the pair-grid engine's transform threads ---
+
+def test_pair_grid_worker_counts_give_the_same_bytes(monkeypatch):
+    # No scenario builds the 2D engine, so criterion 9's worker leg never reaches it.
+    grid = Grid1D(-10.0, 10.0, 64)
+    st = scan_start("2d", grid)
+    cfg = EvolutionConfig(dt=1e-3, steps=40)
+    pairs = [PairPotential(UNIT, UnitSystem.dimensionless(g)) for g in (0.25, 1.0)]
+    runs = {}
+    for workers in ("1", "2"):
+        monkeypatch.setenv(WORKERS_ENV, workers)
+        psi0, psi1 = dyson_first_order(st, PairPotential(UNIT, UnitSystem.dimensionless(0.5)), cfg)
+        runs[workers] = [rec.final_state.amplitudes.tobytes() for rec in evolve(st, pairs, cfg)] + [
+            psi0.amplitudes.tobytes(), psi1.amplitudes.tobytes()]
+    assert runs["1"] == runs["2"]
 
 
 def test_scan_observes_the_start_once(monkeypatch):

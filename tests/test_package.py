@@ -78,39 +78,54 @@ def test_benchmark_tracer_finds_every_target(monkeypatch, tmp_path):
     assert tracer.totals().calls["potential.quadrature"] == 1
 
 
-# Each command in one fresh interpreter, in order; after each, print whether
-# scipy.integrate is loaded.  main's own prints go to stderr.
+# Each command in one fresh interpreter, in order; after the import and
+# after each command, print which of the watched modules are loaded.
+# main's own prints go to stderr.
 IMPORT_PROBE = """
 import json, sys
 sys.stdout = sys.stderr
+watched = ("scipy.integrate", "scipy.fft")
 import gravtwin.cli
-seen = ["scipy.integrate" in sys.modules]
+seen = [[m for m in watched if m in sys.modules]]
 for argv in json.loads(sys.argv[1]):
     assert gravtwin.cli.main(argv) == 0, argv
-    seen.append("scipy.integrate" in sys.modules)
+    seen.append([m for m in watched if m in sys.modules])
 print(json.dumps(seen), file=sys.__stdout__)
 """
 
 
-def test_only_the_separating_action_loads_scipy_integrate(tmp_path):
-    # scipy.integrate drags in scipy.special, .optimize, .sparse and .spatial:
-    # ~18 MB and ~0.2 s of start-up that grid runs and the small verbs never use.
-    # This pytest process has it loaded already, so ask a fresh interpreter.
+@pytest.fixture(scope="module")
+def loaded_modules(tmp_path_factory):
+    """The watched modules loaded after the import and after each probe command, by step name."""
+    # This pytest process has them loaded already, so ask a fresh interpreter.
+    tmp_path = tmp_path_factory.mktemp("probe")
     config = tmp_path / "crosscheck.cfg"
     config.write_text(SMALL_CONFIGS["perturbative-crosscheck"])
-    commands = [
-        ["run", "--config", str(config), "--out", str(tmp_path / "run")],
-        ["potential", "--mass", "1.675e-27", "--radius", "1e-15", "--r-max", "1e-14",
-         "--out", str(tmp_path / "v.csv")],
-        ["version"],
-        ["cow", "--preset", "neutron", "--delta-sweep", "0:1e-33:8", "--out", str(tmp_path / "c.csv")],
-    ]
+    commands = {
+        "run": ["run", "--config", str(config), "--out", str(tmp_path / "run")],
+        "potential": ["potential", "--mass", "1.675e-27", "--radius", "1e-15", "--r-max", "1e-14",
+                      "--out", str(tmp_path / "v.csv")],
+        "version": ["version"],
+        "cow": ["cow", "--preset", "neutron", "--delta-sweep", "0:1e-33:8", "--out", str(tmp_path / "c.csv")],
+    }
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(commands)], env=env,
+    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(list(commands.values()))], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]
-    assert json.loads(done.stdout) == [False, False, False, False, True]
+    return dict(zip(["import", *commands], json.loads(done.stdout)))
+
+
+def test_only_the_separating_action_loads_scipy_integrate(loaded_modules):
+    # scipy.integrate drags in scipy.special, .optimize, .sparse and .spatial:
+    # ~18 MB and ~0.2 s of start-up that grid runs and the small verbs never use.
+    assert [step for step, mods in loaded_modules.items() if "scipy.integrate" in mods] == ["cow"]
+
+
+def test_grid_runs_do_not_load_scipy_fft(loaded_modules):
+    # The separated engine transforms with numpy.fft: ~5 MB and ~40 modules
+    # less.  cow loads scipy.fft through scipy.integrate.
+    assert [step for step, mods in loaded_modules.items() if "scipy.fft" in mods] == ["cow"]
 
 
 FAILING_PROPERTY = """

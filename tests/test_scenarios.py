@@ -12,6 +12,7 @@ import pytest
 from test_acceptance import SMALL_CONFIGS
 
 import gravtwin.cli as cli
+import gravtwin.config as config_module
 import gravtwin.interferometer as interferometer
 import gravtwin.scenarios as scenarios
 from gravtwin import (
@@ -35,6 +36,7 @@ from gravtwin import (
     __version__,
 )
 from gravtwin.config import SCHEMAS
+from gravtwin.core import free_packet_doubling_time
 from gravtwin.potential import PERTURBATIVE_WINDOW
 from gravtwin.scenarios import TIMESERIES_COLUMNS, _full_observer
 
@@ -129,6 +131,14 @@ def test_cfl_checked_at_load_time():
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert "evolution.dt" in str(err.value)
+
+
+@pytest.mark.parametrize("line", ["packet.width = 1.0", "species.mass = 2.0"])
+def test_free_check_dt_default_is_fixed(line):
+    # README's value: the default packet's doubling time / 1000, whatever the width or mass.
+    # One that followed the width would fail the CFL guard from width 0.53 up.
+    cfg = parse_config(f"scenario = free-check\n{line}\n")
+    assert cfg.values["evolution.dt"] == free_packet_doubling_time(0.5, 1.0, 1.0) / 1000
 
 
 @pytest.mark.parametrize("key", ["evolution.dt", "evolution.steps", "evolution.record_every"])
@@ -699,12 +709,12 @@ def test_a_negative_sweep_start_needs_the_equals_form(tmp_path, capsys):
 
 
 def test_cli_too_large_to_allocate(tmp_path, capsys):
-    # 1e14 float64 points is far beyond any address space, so the allocation fails at once.
+    # 1e14 points is far beyond any machine's memory, so the sweep is refused at load.
     out = tmp_path / "x.csv"
     rc = cli.main(["cow", "--preset", "neutron", "--delta-sweep", "0:1e-33:100000000000000", "--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("invalid input: ") and err.count("\n") == 1
+    assert err.startswith("invalid input: --delta-sweep: ") and err.count("\n") == 1
     assert not out.exists()
 
     cfg_file = tmp_path / "huge.cfg"
@@ -712,8 +722,35 @@ def test_cli_too_large_to_allocate(tmp_path, capsys):
     run_dir = tmp_path / "run"
     assert cli.main(["run", "--config", str(cfg_file), "--out", str(run_dir)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("invalid input: ") and err.count("\n") == 1
-    assert read_manifest(run_dir)["status"] == "error"
+    assert err.startswith("invalid input: cow.delta_points: ") and err.count("\n") == 1
+    assert not run_dir.exists()
+
+
+def test_potential_samples_too_large_to_allocate(tmp_path, capsys):
+    # 1e14 samples is far beyond any machine's memory, so the scan is refused at load.
+    out = tmp_path / "v.csv"
+    argv = ["potential", "--mass", "1.675e-27", "--radius", "1e-15", "--r-max", "1e-14"]
+    assert cli.main([*argv, "--samples", "100000000000000", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: --samples: 100000000000000 samples need about ") and err.count("\n") == 1
+    assert not out.exists()
+
+    cfg_file = tmp_path / "huge.cfg"
+    cfg_file.write_text("scenario = potential-scan\npotential.samples = 100000000000000\n")
+    run_dir = tmp_path / "run"
+    assert cli.main(["run", "--config", str(cfg_file), "--out", str(run_dir)]) == 1
+    assert capsys.readouterr().err.startswith("invalid input: potential.samples: ")
+    assert not run_dir.exists()
+
+
+@pytest.mark.parametrize("scenario, key, default", [("cow-sweep", "cow.delta_points", 1000),
+                                                    ("potential-scan", "potential.samples", 4096)])
+def test_counts_are_weighed_against_memory(monkeypatch, scenario, key, default):
+    # With 2 MB to hold, the defaults (~0.6 and ~1.2 MB) load and 8000 (~5 and ~2.4 MB) do not.
+    monkeypatch.setattr(config_module, "_MEMORY", 2e6)
+    assert parse_config(f"scenario = {scenario}\n").values[key] == default
+    with pytest.raises(ConfigError, match=f"^{key}: 8000 .* need about "):
+        parse_config(f"scenario = {scenario}\n{key} = 8000\n")
 
 
 def test_one_perturbative_window(tmp_path):
