@@ -95,6 +95,11 @@ _MEMORY = _memory_bytes()
 # point, a potential scan 301-303 B per r sample (at two radii and r_max).
 _COW_BYTES_PER_POINT = 626
 _POTENTIAL_BYTES_PER_SAMPLE = 302
+# A grid run's peak per n x n cell, from tracemalloc at n = 512 and 1024 over
+# one to five couplings: the 16 B final state evolve keeps per coupling, and
+# 34 B beside them for rho and its Cholesky copy at the last record point.
+_GRID_BYTES_PER_CELL = 34
+_GRID_BYTES_PER_CELL_PER_COUPLING = 16
 
 
 def _check_fits(key: str, count: int, each: int, what: str) -> None:
@@ -376,9 +381,12 @@ def _build(scenario: str, values: dict[str, object], name: Callable[[str], str])
         _check_fits(name("potential.samples"), values["potential.samples"], _POTENTIAL_BYTES_PER_SAMPLE, "samples")
         return ScenarioConfig(scenario, values, pairs=pairs)
 
+    n = values["grid.n"]
+    per_cell = _GRID_BYTES_PER_CELL + _GRID_BYTES_PER_CELL_PER_COUPLING * len(pairs)
+    _check_fits(name("grid.n"), n * n, per_cell, "pair-grid cells")  # before the grid's O(n) arrays
     x_min, x_max = values["grid.x_min"], values["grid.x_max"]
     with _named(name("grid.x_max" if x_max <= x_min else "grid.n")):
-        grid = Grid1D(x_min, x_max, values["grid.n"])
+        grid = Grid1D(x_min, x_max, n)
     evolution = EvolutionConfig(
         dt=values["evolution.dt"],
         steps=values["evolution.steps"],

@@ -8,14 +8,15 @@ center separation r, half the mutual Newtonian energy is
 
 Both branches meet at r = 2R with the value -G m^2 / (4 R).  The action
 integrals the interferometer needs are computed twice: a closed-form
-piecewise antiderivative (fast path) and adaptive quadrature (oracle);
-disagreement is a hard error.
+piecewise antiderivative (fast path) and a fixed Gauss-Legendre rule
+(oracle); disagreement is a hard error.
 """
 from __future__ import annotations
 
 import math
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -27,6 +28,10 @@ _ACTION_AGREEMENT_RTOL = 1e-10
 
 # First order in the coupling holds while S0 / hbar = |V(0)| T / hbar stays below this.
 PERTURBATIVE_WINDOW = 0.1
+
+# Three-point Gauss-Legendre rule on [-1, 1]: exact for polynomials up to degree 5.
+_GAUSS_NODES = (-math.sqrt(0.6), 0.0, math.sqrt(0.6))
+_GAUSS_WEIGHTS = (5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0)
 
 
 def _core_branch(r, G: float, m: float, R: float):
@@ -48,12 +53,18 @@ def _float_value(r: float, G: float, m: float, R: float) -> float:
     return _core_branch(r, G, m, R) if r < 2.0 * R else _tail_branch(r, G, m)
 
 
+def _gauss_legendre(f: Callable[[float], float], a: float, b: float) -> float:
+    """The integral of f over [a, b] by the three-point Gauss-Legendre rule."""
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    return half * sum(w * f(mid + half * x) for x, w in zip(_GAUSS_NODES, _GAUSS_WEIGHTS))
+
+
 @dataclass(frozen=True)
 class SeparatingAction:
     """Separating-arm action, computed by both routes.
 
     closed_form is the piecewise antiderivative value (use this);
-    quadrature is the adaptive-integration cross-check.
+    quadrature is the Gauss-Legendre cross-check.
     """
 
     closed_form: float
@@ -142,16 +153,14 @@ class PairPotential:
             raise ValidationError(f"speed must be finite and > 0, got {v!r}")
         if not (math.isfinite(T) and T > 0):
             raise ValidationError(f"flight time must be finite and > 0, got {T!r}")
-        from scipy.integrate import quad  # here, so only the oracle pays its ~18 MB and ~0.2 s import
-
         s_max = v * T / math.sqrt(2.0)
         closed = -(math.sqrt(2.0) / v) * self._antiderivative(s_max)
 
         # Two panels, split at the branch point.  The core panel runs in t,
         # where V(sqrt(2) v t) is a quintic.  The tail panel runs in
         # u = ln t, where the 1/r tail makes V(sqrt(2) v e^u) e^u constant
-        # over however many decades of t the flight spans.  Both
-        # integrands are exact for the first Gauss-Kronrod pass.
+        # over however many decades of t the flight spans.  The three-point
+        # Gauss-Legendre rule is exact for both integrands.
         R = self.species.radius
         t_half = T / 2.0
         t_break = 2.0 * R / (math.sqrt(2.0) * v)
@@ -160,19 +169,17 @@ class PairPotential:
         G = self.units.G
         m = self.species.mass
         speed = math.sqrt(2.0) * v
-        options = dict(limit=200, epsrel=1e-12, epsabs=1e-14 * abs(closed))
-        total, _ = quad(lambda t: _float_value(speed * t, G, m, R), 0.0, min(t_break, t_half), **options)
+        total = _gauss_legendre(lambda t: _float_value(speed * t, G, m, R), 0.0, min(t_break, t_half))
         if t_half > t_break:
             ratio = t_half / t_break if t_break > 0 else math.inf
             if not math.isfinite(ratio):
                 raise ValidationError(
                     f"separating action: panel ratio t_half / t_break = {ratio!r} is not finite"
                 )
-            tail, _ = quad(
+            total += _gauss_legendre(
                 lambda u: _float_value(speed * math.exp(u), G, m, R) * math.exp(u),
-                math.log(t_break), math.log(t_half), **options,
+                math.log(t_break), math.log(t_half),
             )
-            total += tail
         numeric = -2.0 * total
 
         denom = max(abs(closed), abs(numeric))

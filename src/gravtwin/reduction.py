@@ -11,7 +11,9 @@ Every quantifier is read from rho alone.  The leading weights come from
 a randomized range finder on rho (Halko, Martinsson & Tropp, SIAM Rev.
 53, 217, 2011) with one power step and Rayleigh-Ritz, in O(n^2 r) work
 for r of them.  The smallest eigenvalue is bounded from below by one
-Cholesky factorization of rho dx + eps I, with no spectrum at all.
+Cholesky factorization of rho dx + eps I, with no spectrum at all.  That
+factorization is the only scipy call a scenario makes; scipy.linalg is
+imported at its first call, so only grid runs load scipy.
 """
 from __future__ import annotations
 
@@ -20,7 +22,6 @@ from dataclasses import InitVar, dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.linalg
 from numpy.typing import NDArray
 
 from .core import UNIT_NORM_TOL, Grid1D, MetaState, ValidationError, check_unit_norm, max_skew
@@ -231,6 +232,8 @@ def _min_eigenvalue_bound(rho: ReducedDensityMatrix) -> float:
     m = rho.rho * rho.grid.dx
     m.flat[:: n + 1] += _CHOLESKY_SHIFT
     trace = float(np.trace(m).real)
+    import scipy.linalg  # here, so only grid runs pay its ~24 MB and ~0.2 s import
+
     try:
         scipy.linalg.cholesky(m.T, lower=False, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError:

@@ -78,54 +78,72 @@ def test_benchmark_tracer_finds_every_target(monkeypatch, tmp_path):
     assert tracer.totals().calls["potential.quadrature"] == 1
 
 
-# Each command in one fresh interpreter, in order; after the import and
-# after each command, print which of the watched modules are loaded.
-# main's own prints go to stderr.
+# One command in a fresh interpreter: print which scipy modules are loaded
+# after importing the CLI and running the command (if any), so nothing one
+# command loads can leak into the next.  main's own prints go to stderr.
 IMPORT_PROBE = """
 import json, sys
 sys.stdout = sys.stderr
-watched = ("scipy.integrate", "scipy.fft")
 import gravtwin.cli
-seen = [[m for m in watched if m in sys.modules]]
 for argv in json.loads(sys.argv[1]):
     assert gravtwin.cli.main(argv) == 0, argv
-    seen.append([m for m in watched if m in sys.modules])
-print(json.dumps(seen), file=sys.__stdout__)
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")), file=sys.__stdout__)
 """
 
 
 @pytest.fixture(scope="module")
 def loaded_modules(tmp_path_factory):
-    """The watched modules loaded after the import and after each probe command, by step name."""
-    # This pytest process has them loaded already, so ask a fresh interpreter.
+    """The scipy modules loaded by each probe step, each in its own interpreter, by step name."""
+    # This pytest process has them loaded already, so ask fresh interpreters.
     tmp_path = tmp_path_factory.mktemp("probe")
-    config = tmp_path / "crosscheck.cfg"
-    config.write_text(SMALL_CONFIGS["perturbative-crosscheck"])
+    configs = {}
+    for scenario in ("perturbative-crosscheck", "cow-sweep", "potential-scan"):
+        configs[scenario] = tmp_path / f"{scenario}.cfg"
+        configs[scenario].write_text(SMALL_CONFIGS[scenario])
     commands = {
-        "run": ["run", "--config", str(config), "--out", str(tmp_path / "run")],
-        "potential": ["potential", "--mass", "1.675e-27", "--radius", "1e-15", "--r-max", "1e-14",
-                      "--out", str(tmp_path / "v.csv")],
-        "version": ["version"],
-        "cow": ["cow", "--preset", "neutron", "--delta-sweep", "0:1e-33:8", "--out", str(tmp_path / "c.csv")],
+        "import": [],
+        "potential": [["potential", "--mass", "1.675e-27", "--radius", "1e-15", "--r-max", "1e-14",
+                       "--out", str(tmp_path / "v.csv")]],
+        "version": [["version"]],
+        "cow": [["cow", "--preset", "neutron", "--delta-sweep", "0:1e-33:8", "--out", str(tmp_path / "c.csv")]],
+        "cow-custom": [["cow", "--mass", "1e-26", "--radius", "1e-12", "--L", "0.5", "--v", "300",
+                        "--delta-sweep", "0:1e-33:8", "--out", str(tmp_path / "c2.csv")]],
+        **{f"run {scenario}": [["run", "--config", str(path), "--out", str(tmp_path / scenario)]]
+           for scenario, path in configs.items()},
     }
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(list(commands.values()))], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr[-2000:]
-    return dict(zip(["import", *commands], json.loads(done.stdout)))
+    loaded = {}
+    for step, argvs in commands.items():
+        done = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(argvs)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, (step, done.stderr[-2000:])
+        loaded[step] = json.loads(done.stdout)
+    return loaded
 
 
-def test_only_the_separating_action_loads_scipy_integrate(loaded_modules):
-    # scipy.integrate drags in scipy.special, .optimize, .sparse and .spatial:
-    # ~18 MB and ~0.2 s of start-up that grid runs and the small verbs never use.
-    assert [step for step, mods in loaded_modules.items() if "scipy.integrate" in mods] == ["cow"]
+GRID_RUN = "run perturbative-crosscheck"
+
+
+def test_only_grid_runs_load_scipy(loaded_modules):
+    # The CLI, the small verbs and the cow-sweep and potential-scan runs need
+    # numpy alone; scipy.linalg alone would add ~0.2 s and ~24 MB to each.
+    assert {step: mods for step, mods in loaded_modules.items() if mods} == {GRID_RUN: loaded_modules[GRID_RUN]}
+    # A grid run loads scipy.linalg for the Cholesky positivity certificate.
+    assert "scipy.linalg" in loaded_modules[GRID_RUN]
+
+
+def test_no_command_loads_scipy_integrate(loaded_modules):
+    # The separating action checks its closed form with a Gauss-Legendre
+    # rule, so no command loads scipy.integrate, which drags in
+    # scipy.special, .optimize, .sparse and .spatial.
+    assert [step for step, mods in loaded_modules.items() if "scipy.integrate" in mods] == []
 
 
 def test_grid_runs_do_not_load_scipy_fft(loaded_modules):
     # The separated engine transforms with numpy.fft: ~5 MB and ~40 modules
-    # less.  cow loads scipy.fft through scipy.integrate.
-    assert [step for step, mods in loaded_modules.items() if "scipy.fft" in mods] == ["cow"]
+    # less.  Only the pair-grid engine, which no scenario builds, imports it.
+    assert [step for step, mods in loaded_modules.items() if "scipy.fft" in mods] == []
 
 
 FAILING_PROPERTY = """

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.integrate
 from scipy.integrate import quad
 
 from gravtwin import (
@@ -13,6 +12,7 @@ from gravtwin import (
     UnitSystem,
     ValidationError,
 )
+from gravtwin import potential
 from gravtwin.potential import _float_value
 
 # Frozen from an independent 40-digit decimal evaluation of the closed
@@ -240,9 +240,10 @@ def test_quadrature_agrees_at_geometry_scan_corners(mass, radius, L, v):
 def per_decade_quadrature(pair, v, T):
     """-2 times the integral of V(sqrt(2) v t) over [0, T/2] in t, one panel per decade of the tail.
 
-    An independent oracle for the package's quadrature: the same quad
-    settings, but every panel in t and none wider than a decade, so no
-    change of variable is shared with the code under test.
+    An independent oracle for the package's quadrature: adaptive QUADPACK
+    at a relative 1e-12, every panel in t and none wider than a decade, so
+    neither the rule nor the change of variable is shared with the code
+    under test.
     """
     G, m, R = pair.units.G, pair.species.mass, pair.species.radius
     speed = math.sqrt(2.0) * v
@@ -297,20 +298,22 @@ def test_quadrature_matches_the_per_decade_oracle(geometries):
         assert abs(act.quadrature - oracle) <= 1e-12 * abs(oracle), (v, T)
 
 
-def test_quadrature_makes_at_most_two_quad_calls(monkeypatch):
-    # One core panel in t and one tail panel in ln t, whatever the span.
+def test_quadrature_evaluates_one_or_two_panels(monkeypatch):
+    # One core panel in t and one tail panel in ln t, whatever the span:
+    # each panel costs one integrand evaluation per node of the rule.
     calls = []
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls.append(None)
-        return quad(*args, **kwargs)
+        return _float_value(*args)
 
-    # The oracle imports quad on every call, so patch the name it reads.
-    monkeypatch.setattr(scipy.integrate, "quad", counted)
+    monkeypatch.setattr(potential, "_float_value", counted)
+    nodes = len(potential._GAUSS_NODES)
     for pair, v, T in [*SCAN_CORNERS, NEUTRON_BENCH, CORE_ONLY, FIFTEEN_DECADES]:
         calls.clear()
         pair.action_integral_separating(v=v, T=T)
-        assert 1 <= len(calls) <= 2, (v, T)
+        panels = 2 if T / 2.0 > 2.0 * pair.species.radius / (math.sqrt(2.0) * v) else 1
+        assert len(calls) == panels * nodes, (v, T)
 
 
 def off_everywhere(exact, radius):
@@ -338,5 +341,30 @@ def test_quadrature_catches_a_wrong_closed_form(monkeypatch, mutation, geometry)
     monkeypatch.setattr(
         PairPotential, "_antiderivative", mutation(PairPotential._antiderivative, pair.species.radius)
     )
+    with pytest.raises(ArithmeticError, match="disagree"):
+        pair.action_integral_separating(v=v, T=T)
+
+
+def scaled(exact):
+    return lambda *args: (1.0 + 1e-9) * exact(*args)
+
+
+@pytest.mark.parametrize(
+    "branch, geometry",
+    [
+        ("_float_value", NEUTRON_BENCH),
+        ("_core_branch", CORE_ONLY),  # no tail panel
+        ("_float_value", FIFTEEN_DECADES),
+        ("_tail_branch", NEUTRON_BENCH),
+        ("_tail_branch", FIFTEEN_DECADES),
+    ],
+    ids=["neutron", "core-regime", "fifteen-decades", "tail-only-neutron", "tail-only-fifteen-decades"],
+)
+def test_quadrature_catches_a_wrong_integrand(monkeypatch, branch, geometry):
+    # The mirror of the test above: an integrand off by 1e-9 relative, the
+    # closed form exact, must trip the 1e-10 gate too.  The closed form
+    # reads none of these functions.
+    pair, v, T = geometry
+    monkeypatch.setattr(potential, branch, scaled(getattr(potential, branch)))
     with pytest.raises(ArithmeticError, match="disagree"):
         pair.action_integral_separating(v=v, T=T)

@@ -753,6 +753,33 @@ def test_counts_are_weighed_against_memory(monkeypatch, scenario, key, default):
         parse_config(f"scenario = {scenario}\n{key} = 8000\n")
 
 
+def test_grid_too_large_for_memory(tmp_path, capsys):
+    # 2^22 squared cells need about 1e15 bytes, far beyond any machine's
+    # memory, so the run is refused at load, before its directory exists.
+    cfg_file = tmp_path / "huge.cfg"
+    cfg_file.write_text("scenario = free-check\ngrid.n = 4194304\nevolution.dt = 1e-12\nevolution.steps = 1\n")
+    with pytest.raises(ConfigError, match=r"^grid\.n: 17592186044416 pair-grid cells need about "):
+        load_config(cfg_file)
+    run_dir = tmp_path / "run"
+    assert cli.main(["run", "--config", str(cfg_file), "--out", str(run_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: grid.n: ") and err.count("\n") == 1
+    assert not run_dir.exists()
+
+
+def test_grid_memory_counts_each_coupling(monkeypatch, tmp_path):
+    # The default decoherence scan holds three final 512 x 512 states; with
+    # just the memory that takes, a fourth coupling does not fit.
+    per_cell = config_module._GRID_BYTES_PER_CELL + 3 * config_module._GRID_BYTES_PER_CELL_PER_COUPLING
+    monkeypatch.setattr(config_module, "_MEMORY", 512 * 512 * per_cell)
+    cfg_file = tmp_path / "scan.cfg"
+    cfg_file.write_text("scenario = two-packet-decoherence\n")
+    assert len(load_config(cfg_file).pairs) == 3
+    cfg_file.write_text("scenario = two-packet-decoherence\nscan.couplings = 0.125, 0.25, 0.375, 0.5\n")
+    with pytest.raises(ConfigError, match=r"^grid\.n: 262144 pair-grid cells need about "):
+        load_config(cfg_file)
+
+
 def test_one_perturbative_window(tmp_path):
     """dyson_first_order, correction, the crosscheck summary and load read one S0 / hbar."""
     dt, steps = 5e-4, 60
