@@ -4,11 +4,7 @@ Exit codes: 0 success, 1 validation failure, 2 numerical abort, 3 I/O
 failure.  Argument errors and sizes too large to allocate count as
 validation.  Each numeric flag is read as the scenario config key it
 stands for, by the reader of config files, and its errors start with the
-flag.
-The only environment knob is GRAVTWIN_WORKERS (worker threads of the
-pair-grid engine's 2D transforms; the separated engine that every
-scenario runs transforms with numpy.fft and ignores it); it never changes
-results, only speed.
+flag.  No environment variable is read.
 """
 from __future__ import annotations
 

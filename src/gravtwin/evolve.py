@@ -14,9 +14,7 @@ A SeparatedState is stepped as its centre of mass X = (x + x~)/2 (mass
 2m, free) and separation r = x - x~ (mass m/2, feeling V_pair(|r|)): V
 above depends on r alone, so the step factorises into one 1D step per
 coordinate.  The pair amplitude is gathered only at record points that
-something reads.  The separated engine, which every scenario runs,
-transforms with numpy.fft; the pair-grid engine uses scipy.fft, threaded
-by GRAVTWIN_WORKERS, and imports it when it is built.
+something reads.  Both engines transform with numpy.fft in one thread.
 
 evolve runs the step at the couplings of a scan of pairs, one channel per
 coupling in one stack; on the separated engine the couplings share the
@@ -27,9 +25,7 @@ side for perturbative cross-checks.
 """
 from __future__ import annotations
 
-import functools
 import math
-import os
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Sequence
 
@@ -46,8 +42,6 @@ from .core import (
 )
 from .potential import PERTURBATIVE_WINDOW, PairPotential
 
-WORKERS_ENV = "GRAVTWIN_WORKERS"
-
 
 class CFLViolation(ValidationError):
     """Time step too large for the grid's kinetic band."""
@@ -55,23 +49,6 @@ class CFLViolation(ValidationError):
 
 class NumericalAbort(RuntimeError):
     """Non-finite amplitudes detected mid-run."""
-
-
-def fft_workers() -> int:
-    """Worker-thread count for the pair-grid engine's 2D transforms, from the environment.
-
-    Results are bit-identical for any worker count: threading only
-    splits independent transform lines, never reorders a reduction.  The
-    separated engine transforms with numpy.fft and does not read it.
-    """
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        w = int(raw)
-    except ValueError:
-        raise ValidationError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
-    if w < 1:
-        raise ValidationError(f"{WORKERS_ENV} must be >= 1, got {w}")
-    return w
 
 
 @dataclass(frozen=True)
@@ -121,11 +98,6 @@ class _GridEngine:
     """
 
     def __init__(self, state: MetaState, pairs: Sequence[PairPotential], cfg: EvolutionConfig) -> None:
-        import scipy.fft  # only this engine needs it, and no scenario builds it
-
-        workers = fft_workers()
-        self.fft = functools.partial(scipy.fft.fft2, workers=workers, overwrite_x=True)
-        self.ifft = functools.partial(scipy.fft.ifft2, workers=workers, overwrite_x=True)
         self.state = state
         hbar, mass = pairs[0].units.hbar, pairs[0].species.mass
         k2 = state.grid.momentum_grid**2
@@ -149,10 +121,15 @@ class _GridEngine:
         return z
 
     def step(self, z: NDArray[np.complex128]) -> NDArray[np.complex128]:
+        # One 1D pass per axis, in place, axis -2 first: the bytes of scipy's
+        # fft2, which np.fft.fft2 (axis -1 first) misses in the last bit.  n
+        # is a power of two, so the inverse's two 1/n are exactly one 1/n^2.
         z *= self.half_v
-        z = self.fft(z)
+        z = np.fft.fft(z, axis=-2, out=z)
+        z = np.fft.fft(z, axis=-1, out=z)
         z *= self.full_k
-        z = self.ifft(z)
+        z = np.fft.ifft(z, axis=-2, out=z)
+        z = np.fft.ifft(z, axis=-1, out=z)
         z *= self.half_v
         return z
 

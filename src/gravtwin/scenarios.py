@@ -4,8 +4,8 @@ Each scenario writes plot-ready CSVs (full-precision, round-trip-safe
 floats), binary field dumps with JSON sidecars, and a summary.json of
 acceptance-relevant scalars.  A manifest.json with the resolved config,
 timestamps, and per-file checksums is written last.  Scientific outputs
-are byte-identical across repeated runs and worker-thread counts;
-timestamps live only in the manifest.
+are byte-identical across repeated runs; timestamps live only in the
+manifest.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from .config import ScenarioConfig
 from .core import Grid1D, MetaState, ValidationError, free_packet_doubling_time, free_packet_variance
 # Unused here, but perfbench/child.py traces state preparation under these names.
 from .core import gaussian_product_metastate, gaussian_wavepacket, product_metastate  # noqa: F401
-from .evolve import NumericalAbort, dyson_first_order, evolve, fft_workers, first_order_position_density
+from .evolve import NumericalAbort, dyson_first_order, evolve, first_order_position_density
 from .interferometer import FirstOrderSweep, first_order_sweep, pair_enumeration_oracle
 from .reduction import DecoherenceReport, decoherence_report, partial_trace, structural_checks
 
@@ -346,10 +346,9 @@ def run(cfg: ScenarioConfig, out_dir: str | Path) -> RunManifest:
     (numerical-abort for NumericalAbort, error otherwise) and diagnostic
     explain it; the original exception is then re-raised for the caller's
     exit handling.  The output directory must be missing or empty, so that
-    the manifest covers every file in it; a non-empty one, or a
-    GRAVTWIN_WORKERS that fft_workers refuses, is rejected before any write.
+    the manifest covers every file in it; a non-empty one is rejected
+    before any write.
     """
-    fft_workers()
     out = Path(out_dir)
     if out.is_dir() and any(out.iterdir()):
         raise ValidationError(f"output directory {str(out)!r} is not empty; use a fresh one")

@@ -23,7 +23,7 @@ from gravtwin import (
     product_metastate,
     separated_product_state,
 )
-from gravtwin.evolve import WORKERS_ENV, _GridEngine, _SeparatedEngine
+from gravtwin.evolve import _GridEngine, _SeparatedEngine
 
 UNIT = ParticleSpecies(mass=1.0, radius=1.0)
 
@@ -207,21 +207,49 @@ def test_scan_equals_one_pair_runs_bitwise(engine):
             assert np.array_equal(seen, seen_alone)
 
 
-# --- the pair-grid engine's transform threads ---
+# --- the pair-grid engine's transforms against the scipy.fft route ---
 
-def test_pair_grid_worker_counts_give_the_same_bytes(monkeypatch):
-    # No scenario builds the 2D engine, so criterion 9's worker leg never reaches it.
+def scipy_grid_step(engine, z):
+    """The pair-grid step as the 2D engine took it with scipy.fft.fft2/ifft2: the oracle for its bytes."""
+    z *= engine.half_v
+    z = sfft.fft2(z, workers=1, overwrite_x=True)
+    z *= engine.full_k
+    z = sfft.ifft2(z, workers=1, overwrite_x=True)
+    z *= engine.half_v
+    return z
+
+
+@pytest.mark.parametrize("n", [8, 64, 256])
+@pytest.mark.parametrize("channels", [1, 2, 3])
+def test_pair_grid_step_gives_the_scipy_route_bytes(n, channels):
+    # Random channels carry every wavenumber; the engine reads only its start's grid.
+    grid = Grid1D(-10.0, 10.0, n)
+    rng = np.random.default_rng(n + channels)
+    start = rng.standard_normal((channels, n, n)) + 1j * rng.standard_normal((channels, n, n))
+    pairs = [PairPotential(UNIT, UnitSystem.dimensionless(g)) for g in (0.25, 0.5, 1.0)[:channels]]
+    engine = _GridEngine(MetaState(grid, start[0]), pairs, EvolutionConfig(dt=1e-3, steps=1))
+    ours, ref = start.copy(), start.copy()
+    for _ in range(3):
+        ours, ref = engine.step(ours), scipy_grid_step(engine, ref)
+        assert ours.tobytes() == ref.tobytes()
+
+
+def test_pair_grid_scan_and_dyson_give_the_scipy_route_bytes(monkeypatch):
     grid = Grid1D(-10.0, 10.0, 64)
     st = scan_start("2d", grid)
-    cfg = EvolutionConfig(dt=1e-3, steps=40)
+    cfg = EvolutionConfig(dt=1e-3, steps=40, record_every=20)
     pairs = [PairPotential(UNIT, UnitSystem.dimensionless(g)) for g in (0.25, 1.0)]
-    runs = {}
-    for workers in ("1", "2"):
-        monkeypatch.setenv(WORKERS_ENV, workers)
+
+    def outputs():
+        scan = evolve(st, pairs, cfg, observer=lambda s: s.amplitudes.tobytes())
         psi0, psi1 = dyson_first_order(st, PairPotential(UNIT, UnitSystem.dimensionless(0.5)), cfg)
-        runs[workers] = [rec.final_state.amplitudes.tobytes() for rec in evolve(st, pairs, cfg)] + [
-            psi0.amplitudes.tobytes(), psi1.amplitudes.tobytes()]
-    assert runs["1"] == runs["2"]
+        return ([rec.final_state.amplitudes.tobytes() for rec in scan]
+                + [seen for rec in scan for seen in rec.reduced_observables]
+                + [psi0.amplitudes.tobytes(), psi1.amplitudes.tobytes()])
+
+    ours = outputs()
+    monkeypatch.setattr(_GridEngine, "step", scipy_grid_step)
+    assert ours == outputs()
 
 
 def test_scan_observes_the_start_once(monkeypatch):

@@ -91,6 +91,13 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")), 
 """
 
 
+def _src_env():
+    """This environment with the repo's src/ first on PYTHONPATH, for fresh interpreters."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
 @pytest.fixture(scope="module")
 def loaded_modules(tmp_path_factory):
     """The scipy modules loaded by each probe step, each in its own interpreter, by step name."""
@@ -111,11 +118,9 @@ def loaded_modules(tmp_path_factory):
         **{f"run {scenario}": [["run", "--config", str(path), "--out", str(tmp_path / scenario)]]
            for scenario, path in configs.items()},
     }
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     loaded = {}
     for step, argvs in commands.items():
-        done = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(argvs)], env=env,
+        done = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(argvs)], env=_src_env(),
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, (step, done.stderr[-2000:])
         loaded[step] = json.loads(done.stdout)
@@ -141,9 +146,30 @@ def test_no_command_loads_scipy_integrate(loaded_modules):
 
 
 def test_grid_runs_do_not_load_scipy_fft(loaded_modules):
-    # The separated engine transforms with numpy.fft: ~5 MB and ~40 modules
-    # less.  Only the pair-grid engine, which no scenario builds, imports it.
+    # Both engines transform with numpy.fft: ~5 MB and ~40 modules less.
     assert [step for step, mods in loaded_modules.items() if "scipy.fft" in mods] == []
+
+
+# The MetaState library path in a fresh interpreter: a two-coupling scan and
+# a Dyson pass on the pair grid, which no command runs.
+LIBRARY_PROBE = """
+import json, sys
+from gravtwin import (EvolutionConfig, Grid1D, PairPotential, ParticleSpecies, UnitSystem,
+                      dyson_first_order, evolve, gaussian_product_metastate)
+species = ParticleSpecies(mass=1.0, radius=1.0)
+st = gaussian_product_metastate(Grid1D(-10.0, 10.0, 64), 0.0, 0.7, 0.3)
+cfg = EvolutionConfig(dt=1e-3, steps=10, record_every=5)
+evolve(st, [PairPotential(species, UnitSystem.dimensionless(g)) for g in (0.25, 1.0)], cfg)
+dyson_first_order(st, PairPotential(species, UnitSystem.dimensionless(0.5)), cfg)
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_the_pair_grid_library_path_loads_no_scipy():
+    done = subprocess.run([sys.executable, "-c", LIBRARY_PROBE], env=_src_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert json.loads(done.stdout) == []
 
 
 FAILING_PROPERTY = """
@@ -165,6 +191,26 @@ def test_a_failing_property_test_shows_its_example(tmp_path):
     assert done.returncode == 1, done.stdout[-2000:]
     assert "Falsifying example" in done.stdout
     assert "INTERNALERROR" not in done.stdout + done.stderr
+
+
+# What reads the process environment; gravtwin takes its inputs from configs and flags only.
+ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_no_module_reads_the_environment():
+    reads = []
+    for path in sorted((ROOT / "src" / "gravtwin").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        os_names = {alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names if alias.name == "os"}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READERS
+                    and isinstance(node.value, ast.Name) and node.value.id in os_names):
+                reads.append((path.name, node.lineno, ast.unparse(node)))
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                reads += [(path.name, node.lineno, alias.name) for alias in node.names
+                          if alias.name in ENVIRONMENT_READERS]
+    assert reads == []
 
 
 # The builders of a run's physics objects from outside numbers; config.read alone calls them.

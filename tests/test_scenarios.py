@@ -402,18 +402,6 @@ def test_config_with_a_byte_order_mark_loads(tmp_path, scenario):
     assert load_config(marked).resolved == load_config(plain).resolved
 
 
-@pytest.mark.parametrize("workers", ["0", "abc"])
-def test_cli_run_refuses_bad_workers_before_the_run_directory(tmp_path, monkeypatch, capsys, workers):
-    cfg_file = tmp_path / "free.cfg"
-    cfg_file.write_text(FREE_SMALL)
-    monkeypatch.setenv("GRAVTWIN_WORKERS", workers)
-    out = tmp_path / "d"
-    assert cli.main(["run", "--config", str(cfg_file), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("invalid input: GRAVTWIN_WORKERS ") and err.count("\n") == 1
-    assert not out.exists()
-
-
 def test_csv_bytes_pins_its_format():
     # Each value is repr(float); a scalar column repeats on every row.
     columns = (np.array([-0.0, np.nan, np.inf]), 0.1, [1, -np.inf, 2.5e-300])
